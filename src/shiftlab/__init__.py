@@ -18,6 +18,7 @@ from .seqspace import (
     Explicit,
     FinSeqVector,
     PowerLawBeta,
+    RangeError,
     ShiftOperator,
     WeightSequence,
     apply_shift,
@@ -74,6 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # seqspace
+    "RangeError",
     "FinSeqVector",
     "Constant",
     "Explicit",

@@ -23,8 +23,9 @@ exponent is 2.  Point descriptors for ``orbit``: ``e<k>`` (basis vector),
 Values that start with a dash (negative weights) must use the
 ``--flag=value`` form, e.g. ``--g=-1:4``.
 
-Exit codes: 0 pass, 1 usage or config error, 2 inconclusive verdict or
-residual over tolerance, 3 conjugacy class mismatch.  Outputs are JSON
+Exit codes: 0 pass, 1 usage or config error or a result beyond float
+range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
+mismatch.  Outputs are JSON
 (stable key order; ``orbit`` can emit CSV instead) and always record the
 seed and library version.  ``--config FILE`` loads flag values, including
 optionally the command name, from a JSON object; explicit flags override.

@@ -34,6 +34,7 @@ from typing import Union
 import numpy as np
 
 __all__ = [
+    "RangeError",
     "FinSeqVector",
     "Constant",
     "Explicit",
@@ -59,6 +60,10 @@ __all__ = [
     "weights_to_dict",
     "weights_from_dict",
 ]
+
+
+class RangeError(ValueError):
+    """A result that should be a finite float is not: it left float range."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +104,29 @@ class FinSeqVector:
         return self.coords[n - 1]
 
 
+def _norm_from_moduli(moduli: list[float], p: float) -> float:
+    """(sum m**p)**(1/p) over the moduli, with a correctly rounded power sum.
+
+    When the power sum overflows although the norm itself may fit, the
+    largest modulus M is factored out (J. L. Blue, ACM TOMS 4, 1978;
+    E. Anderson, ACM TOMS 44, 2017): M * (sum (m/M)**p)**(1/p).  Sums that
+    fit never take that branch, so their bits are those of the direct form.
+    The result is inf (or nan) when the norm is beyond float range.
+    """
+    try:
+        return math.fsum([m**p for m in moduli]) ** (1.0 / p)
+    except OverflowError:
+        top = max(moduli)
+        return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
+
+
 def lp_norm(x: FinSeqVector) -> float:
-    """The l^p norm of ``x``, computed as a correctly rounded power sum."""
-    return math.fsum(abs(c) ** x.p for c in x.coords) ** (1.0 / x.p)
+    """The l^p norm of ``x``, computed as a correctly rounded power sum.
+
+    A power sum that overflows is recomputed with the largest modulus
+    factored out, so the norm is finite whenever it fits in a float.
+    """
+    return _norm_from_moduli([abs(c) for c in x.coords], x.p)
 
 
 def tail_power_sum(x: FinSeqVector, k: int) -> float:

@@ -175,6 +175,31 @@ def test_orbit_rejects_bad_point(capsys):
     assert code == 1
 
 
+def test_orbit_overflowing_power_sums_give_finite_norms(capsys):
+    code, out, err = run(capsys, "orbit", "--op", "constant:2", "--point", "box:1000", "--n", "1000")
+    assert code == 0
+    assert err == ""
+    norms = json.loads(out)["result"]["norms"]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in norms)
+
+
+def test_orbit_escape_past_squared_float_range(capsys):
+    code, out, err = run(capsys, "orbit", "--op", "constant:10", "--point", "escape", "--n", "200")
+    assert code == 0
+    assert err == ""
+    norms = json.loads(out)["result"]["norms"]
+    assert len(norms) == 200
+    assert all(v == pytest.approx(10.0**k, rel=1e-12) for k, v in enumerate(norms))
+
+
+def test_orbit_escape_past_float_range_is_a_range_error(capsys):
+    code, out, err = run(capsys, "orbit", "--op", "constant:10", "--point", "escape", "--n", "400")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "step 309" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # apply-map
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     BalancedBlocks,
@@ -12,6 +14,7 @@ from shiftlab import (
     Explicit,
     FinSeqVector,
     PowerLawBeta,
+    RangeError,
     ShiftOperator,
     apply_shift,
     beta_profile,
@@ -386,6 +389,74 @@ def test_orbit_norms_validates():
         orbit_norms(t, FinSeqVector(2.0, (1,)), -1)
 
 
+def _iterated_norms(t, x, n):
+    """The orbit norms by repeated apply_shift + lp_norm on Python complexes."""
+    norms = [lp_norm(x)]
+    for _ in range(n):
+        x = apply_shift(t, x)
+        norms.append(lp_norm(x))
+    return norms
+
+
+_part = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+_weight = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(lambda z: abs(z) > 1e-3)
+
+
+@st.composite
+def _orbit_cases(draw):
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    coords = draw(st.lists(st.builds(complex, _part, _part), max_size=30))
+    family = draw(st.sampled_from(["constant", "explicit", "blocks", "powerlaw"]))
+    if family == "constant":
+        w = Constant(draw(_weight))
+    elif family == "explicit":
+        need = max(1, len(coords) - 1)
+        w = Explicit(tuple(draw(st.lists(_weight, min_size=need, max_size=need + 3))))
+    elif family == "blocks":
+        w = BalancedBlocks(draw(_weight), draw(_weight), draw(st.booleans()))
+    else:
+        w = PowerLawBeta(draw(st.floats(-2.0, 2.0)))
+    n = draw(st.integers(0, len(coords) + 5))  # up to 5 steps past the support
+    return ShiftOperator(w, p), FinSeqVector(p, tuple(coords)), n
+
+
+@given(_orbit_cases())
+@settings(max_examples=150)
+def test_orbit_norms_bit_identical_to_repeated_application(case):
+    t, x, n = case
+    got = orbit_norms(t, x, n).norms
+    assert [v.hex() for v in got] == [v.hex() for v in _iterated_norms(t, x, n)]
+
+
+def test_orbit_norms_checks_operator_only_when_stepping():
+    # as with apply_shift, a short explicit list or an exponent mismatch
+    # only matters once a step is taken
+    x = FinSeqVector(2.0, (1, 2, 3, 4))
+    short = ShiftOperator(Explicit((1, 2)), 2.0)
+    assert orbit_norms(short, x, 0).norms == (lp_norm(x),)
+    with pytest.raises(IndexError):
+        orbit_norms(short, x, 1)
+    other_p = ShiftOperator(Constant(2), 3.0)
+    assert orbit_norms(other_p, x, 0).norms == (lp_norm(x),)
+    with pytest.raises(ValueError):
+        orbit_norms(other_p, x, 1)
+
+
+def test_orbit_norms_past_float_range_names_the_step():
+    t = ShiftOperator(Constant(1e200), 1.0)
+    with pytest.raises(RangeError, match="step 2"):
+        orbit_norms(t, FinSeqVector(1.0, (1, 2, 3)), 2)
+
+
+def test_orbit_norms_overflowing_power_sum_stays_finite():
+    # |2^999 x_n|^2 overflows although every norm fits in a float
+    t = ShiftOperator(Constant(2), 2.0)
+    x = FinSeqVector(2.0, (3, 4) * 500)
+    norms = orbit_norms(t, x, 999).norms
+    assert all(math.isfinite(v) for v in norms)
+    assert norms[998] == pytest.approx(2.0**998 * 5.0, rel=1e-15)
+
+
 def test_orbit_trace_serialization_and_csv():
     t = ShiftOperator(Constant(2), 2.0)
     trace = orbit_norms(t, FinSeqVector(2.0, (1, 1)), 3)
@@ -422,3 +493,25 @@ def test_escape_demo_validates():
         escape_demo(0, 2.0, 5)
     with pytest.raises(ValueError):
         escape_demo(2, 2.0, 0)
+
+
+@pytest.mark.parametrize("lam,p", [(1.5, 2.0), (0.7, 1.0), (complex(0.6, 0.8), 1.5), (complex(-1.1, 0.4), 3.0)])
+def test_escape_demo_is_the_orbit_of_the_last_basis_vector(lam, p):
+    n = 40
+    t = ShiftOperator(Constant(lam), p)
+    trace = escape_demo(lam, p, n)
+    e_n = FinSeqVector(p, (0j,) * (n - 1) + (1 + 0j,))
+    assert trace.norms == orbit_norms(t, e_n, n - 1).norms
+    # and each entry is what shifting its own basis vector gives
+    for k in range(1, n + 1):
+        e_k = FinSeqVector(p, (0j,) * (k - 1) + (1 + 0j,))
+        assert trace.norms[k - 1] == _iterated_norms(t, e_k, k - 1)[-1]
+
+
+def test_escape_demo_beyond_squared_float_range():
+    # 10^k squared overflows from k = 155 on; the norm itself fits up to 10^308
+    trace = escape_demo(10.0, 2.0, 200)
+    for k, v in enumerate(trace.norms):
+        assert v == pytest.approx(10.0**k, rel=1e-12)
+    with pytest.raises(RangeError, match="step 309"):
+        escape_demo(10.0, 2.0, 400)

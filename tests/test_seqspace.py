@@ -77,6 +77,13 @@ def test_lp_norm_hand_values():
     assert lp_norm(FinSeqVector(2.0, ())) == 0.0
 
 
+def test_lp_norm_scales_an_overflowing_power_sum():
+    # the power sums 2e400 and 2e308 overflow; the norms fit or do not
+    assert lp_norm(FinSeqVector(2.0, (1e200, 1e200))) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert lp_norm(FinSeqVector(3.0, (1e200j,))) == pytest.approx(1e200, rel=1e-15)
+    assert lp_norm(FinSeqVector(1.0, (1e308, 1e308))) == math.inf
+
+
 @given(vectors)
 def test_lp_norm_matches_naive_sum(x):
     naive = sum(abs(c) ** x.p for c in x.coords) ** (1 / x.p) if x.coords else 0.0
