@@ -30,7 +30,6 @@ from .seqspace import (
     random_vectors,
     scale,
     subtract,
-    tail_power_sum,
     tail_power_sums,
     vector_from_dict,
     vector_to_dict,
@@ -88,7 +87,6 @@ __all__ = [
     "beta",
     "log_abs_beta",
     "lp_norm",
-    "tail_power_sum",
     "tail_power_sums",
     "apply_shift",
     "iterate_shift",

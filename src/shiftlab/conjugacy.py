@@ -36,6 +36,7 @@ from typing import Union
 
 from .seqspace import (
     FinSeqVector,
+    RangeError,
     ShiftOperator,
     apply_shift,
     lp_norm,
@@ -123,6 +124,7 @@ def h_map(x: FinSeqVector, s: float) -> FinSeqVector:
     coordinates stay zero.  Tail power sums transport as t -> t**s, the
     image has the same support pattern as x (as long as |x_n|**p does not
     underflow), and ``h_map(h_map(x, s), 1/s)`` recovers x up to rounding.
+    An image coordinate beyond float range raises ``RangeError`` naming it.
     """
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError(f"exponent s must be finite and > 0, got {s!r}")
@@ -135,7 +137,12 @@ def h_map(x: FinSeqVector, s: float) -> FinSeqVector:
             coords.append(0j)
             continue
         m = abs(c)
-        diff = _pow_diff(tails[i], tails[i + 1], m**p, s)
+        try:
+            diff = _pow_diff(tails[i], tails[i + 1], m**p, s)
+        except OverflowError:
+            diff = math.inf
+        if diff == math.inf:  # the expm1 branch can also overflow without raising
+            raise RangeError(f"h_map image at coordinate {i + 1} is beyond float range (s = {s!r})")
         coords.append((c / m) * diff**inv_p)
     return FinSeqVector(p, tuple(coords))
 

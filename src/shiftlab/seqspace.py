@@ -47,7 +47,6 @@ __all__ = [
     "beta",
     "log_abs_beta",
     "lp_norm",
-    "tail_power_sum",
     "tail_power_sums",
     "apply_shift",
     "iterate_shift",
@@ -129,22 +128,43 @@ def lp_norm(x: FinSeqVector) -> float:
     return _norm_from_moduli([abs(c) for c in x.coords], x.p)
 
 
-def tail_power_sum(x: FinSeqVector, k: int) -> float:
-    """sum_{n >= k} |x_n|^p, 1-based; zero once k passes the support."""
-    if k < 1:
-        raise ValueError(f"tail index must be >= 1, got {k}")
-    return math.fsum(abs(c) ** x.p for c in x.coords[k - 1 :])
-
-
 def tail_power_sums(x: FinSeqVector) -> list[float]:
     """All tail power sums of ``x``: entry i is sum_{n >= i+1} |x_n|^p.
 
-    The list has length ``len(x.coords) + 1`` and ends with 0.0.  Each entry
-    is an independent ``fsum`` over the suffix, so every tail is correctly
-    rounded rather than carrying accumulated error from a running total.
+    The list has length ``len(x.coords) + 1`` and ends with 0.0.  It is
+    built in one O(n) pass from the last coordinate to the first that keeps
+    the running suffix sum exactly, as a short list of non-overlapping
+    Shewchuk partials (J. R. Shewchuk, DCG 18, 1997; the recipe behind
+    ``math.fsum``).  Every entry is the ``fsum`` of those partials, so each
+    tail is still correctly rounded rather than carrying accumulated error
+    from a running total.  A power or tail that leaves float range raises
+    ``RangeError`` naming its coordinate.
     """
-    powers = [abs(c) ** x.p for c in x.coords]
-    return [math.fsum(powers[i:]) for i in range(len(powers))] + [0.0]
+    p = x.p
+    n = len(x.coords)
+    tails = [0.0]
+    partials: list[float] = []
+    for j, c in enumerate(reversed(x.coords)):
+        try:
+            v = abs(c) ** p
+        except OverflowError:
+            raise RangeError(f"|x_n|**p at coordinate {n - j} is beyond float range") from None
+        i = 0
+        for y in partials:  # hi + lo == v + y exactly, with |lo| below an ulp of hi
+            if abs(v) < abs(y):
+                v, y = y, v
+            hi = v + y
+            lo = y - (hi - v)
+            if lo:
+                partials[i] = lo
+                i += 1
+            v = hi
+        if not math.isfinite(v):
+            raise RangeError(f"tail power sum from coordinate {n - j} is {v!r}: it left float range")
+        partials[i:] = [v]
+        tails.append(math.fsum(partials))
+    tails.reverse()
+    return tails
 
 
 def scale(x: FinSeqVector, c: complex) -> FinSeqVector:

@@ -118,6 +118,21 @@ def test_conjugate_check_complex_weight(capsys):
     assert doc["result"]["chi_f"] == 0
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        "1e300:2",  # |x_n|**p of a sample vector overflows in the tail sums
+        "1.0000001:2",  # s is about 6.9e6, so t**s overflows in h_map
+    ],
+)
+def test_conjugate_check_overflow_is_a_range_error(capsys, f):
+    code, out, err = run(capsys, "conjugate-check", "--f", f, "--g", "2:2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "coordinate" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # orbit
 
@@ -248,6 +263,16 @@ def test_apply_map_diag(capsys, vec_file):
 def test_apply_map_diag_rejects_unequal_moduli(capsys, vec_file):
     code, out, err = run(capsys, "apply-map", "--diag", "2:3", "--in", vec_file)
     assert code == 1
+
+
+def test_apply_map_h_overflow_is_a_range_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 2, "coords": [[1e10, 0], [3, 4]]}))
+    code, out, err = run(capsys, "apply-map", "--h", "s=200", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "coordinate 1" in err
+    assert "Traceback" not in err
 
 
 def test_apply_map_missing_file(capsys, tmp_path):

@@ -15,6 +15,7 @@ from shiftlab import (
     FinSeqVector,
     GStep,
     HStep,
+    RangeError,
     ShiftOperator,
     build_conjugator,
     chi,
@@ -138,6 +139,16 @@ def test_h_map_rejects_bad_exponent():
 
 def test_h_map_on_empty_vector():
     assert h_map(FinSeqVector(2.0, ()), 2.0).coords == ()
+
+
+def test_h_map_overflow_is_a_range_error():
+    # t_1**s - t_2**s is beyond float range although every tail fits
+    x = FinSeqVector(2.0, (1e10, 3 + 4j))
+    with pytest.raises(RangeError, match="coordinate 1"):
+        h_map(x, 200.0)
+    # t_2**s = 1e300 fits, but the product with expm1(...) silently gives inf
+    with pytest.raises(RangeError, match="coordinate 1"):
+        h_map(FinSeqVector(2.0, (90.0**0.5, 10.0)), 150.0)
 
 
 # ---------------------------------------------------------------------------

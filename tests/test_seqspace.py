@@ -1,5 +1,6 @@
 """Vector arithmetic, weight generators, and shift application."""
 
+import cmath
 import json
 import math
 
@@ -14,6 +15,7 @@ from shiftlab import (
     Explicit,
     FinSeqVector,
     PowerLawBeta,
+    RangeError,
     ShiftOperator,
     apply_shift,
     beta,
@@ -24,7 +26,6 @@ from shiftlab import (
     random_vectors,
     scale,
     subtract,
-    tail_power_sum,
     tail_power_sums,
     vector_from_dict,
     vector_to_dict,
@@ -101,17 +102,58 @@ def test_tail_sums_telescope(x):
         assert abs((tails[k] - tails[k + 1]) - d) <= 1e-12 * (tails[k] + d)
 
 
-@given(vectors)
-def test_tail_power_sum_agrees_with_batch(x):
+def _suffix_fsums(x):
+    """The per-suffix reference: an independent fsum over every suffix."""
+    powers = [abs(c) ** x.p for c in x.coords]
+    return [math.fsum(powers[i:]) for i in range(len(powers))] + [0.0]
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@st.composite
+def tail_vectors(draw):
+    p = draw(st.floats(min_value=1.0, max_value=8.0))
+    # log10 of |x_n|**p: from the subnormal range up to 1e300
+    log_power = st.floats(min_value=-320.0, max_value=300.0)
+    phase = st.floats(min_value=-math.pi, max_value=math.pi)
+    spread = st.builds(lambda e, t: cmath.rect(10.0 ** (e / p), t), log_power, phase)
+    m0 = 10.0 ** (draw(log_power) / p)
+    near = st.builds(
+        lambda j, unit: (m0 + j * math.ulp(m0)) * unit,
+        st.integers(min_value=-4, max_value=4),
+        st.sampled_from([1, -1, 1j, -1j]),
+    )
+    coord = st.one_of(st.just(0j), spread, near)
+    return FinSeqVector(p, tuple(draw(st.lists(coord, max_size=40))))
+
+
+@given(tail_vectors())
+@settings(max_examples=300)
+def test_tail_power_sums_match_per_suffix_fsums_bit_for_bit(x):
+    assert _bits(tail_power_sums(x)) == _bits(_suffix_fsums(x))
+
+
+def test_tail_power_sums_is_not_a_running_sum():
+    # 1.0 enters the reverse pass first; each later 2**-60 is below half its
+    # ulp, so a running total stays at 1.0 while the exact tail rounds up
+    x = FinSeqVector(2.0, (2.0**-30,) * 1000 + (1.0,))
     tails = tail_power_sums(x)
-    for k in range(1, len(x.coords) + 2):
-        assert tail_power_sum(x, k) == tails[k - 1]
-    assert tail_power_sum(x, len(x.coords) + 50) == 0.0
+    running = np.cumsum([abs(c) ** 2 for c in reversed(x.coords)])[::-1]
+    assert running[0] == 1.0
+    assert tails[0] == 1.0 + 2.0**-50
+    assert _bits(tails) == _bits(_suffix_fsums(x))
 
 
-def test_tail_power_sum_index_validation():
-    with pytest.raises(ValueError):
-        tail_power_sum(FinSeqVector(2.0, (1,)), 0)
+def test_tail_power_sums_range_errors_name_the_coordinate():
+    assert tail_power_sums(FinSeqVector(2.0, ())) == [0.0]
+    # the power itself overflows
+    with pytest.raises(RangeError, match="coordinate 2"):
+        tail_power_sums(FinSeqVector(2.0, (1.0, 1e200)))
+    # each power fits but their sum does not
+    with pytest.raises(RangeError, match="coordinate 1"):
+        tail_power_sums(FinSeqVector(2.0, (1e154, 1e154, 1.0)))
 
 
 @given(vectors, nonzero_scalar)
