@@ -22,8 +22,7 @@ from .seqspace import (
     ShiftOperator,
     WeightSequence,
     apply_shift,
-    beta,
-    iterate_shift,
+    check_exponent,
     log_abs_beta,
     lp_norm,
     max_coord_diff,
@@ -75,6 +74,7 @@ __all__ = [
     "__version__",
     # seqspace
     "RangeError",
+    "check_exponent",
     "FinSeqVector",
     "Constant",
     "Explicit",
@@ -84,12 +84,10 @@ __all__ = [
     "ShiftOperator",
     "weight_at",
     "weight_bound",
-    "beta",
     "log_abs_beta",
     "lp_norm",
     "tail_power_sums",
     "apply_shift",
-    "iterate_shift",
     "scale",
     "subtract",
     "max_coord_diff",

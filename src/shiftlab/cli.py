@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -65,6 +64,7 @@ from .seqspace import (
     FinSeqVector,
     PowerLawBeta,
     ShiftOperator,
+    check_exponent,
     max_coord_diff,
     random_vectors,
     vector_from_dict,
@@ -104,9 +104,7 @@ def _parse_exponent(token: str) -> float:
         p = float(token)
     except ValueError:
         raise ValueError(f"cannot parse exponent {token!r}") from None
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {token!r}")
-    return p
+    return check_exponent(p)
 
 
 def _parse_weights(desc: str) -> tuple[object, float | None]:
@@ -212,12 +210,11 @@ def _payload(command: str, config: dict, result: dict, seed: int) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    w, p_embedded = _parse_weights(args.weights)
-    p = p_embedded if p_embedded is not None else (args.p if args.p is not None else DEFAULT_P)
-    verdict = classify(w, p, args.horizon)
+    op = _parse_operator(args.weights, args.p)
+    verdict = classify(op.weights, op.p, args.horizon)
     config = {
-        "weights": weights_to_dict(w),
-        "p": p,
+        "weights": weights_to_dict(op.weights),
+        "p": op.p,
         "horizon": args.horizon,
     }
     _emit_json(_payload("classify", config, verdict.to_dict(), args.seed), args.out)

@@ -38,7 +38,9 @@ from .seqspace import (
     FinSeqVector,
     RangeError,
     ShiftOperator,
+    _pair,
     apply_shift,
+    check_exponent,
     lp_norm,
     random_vectors,
     subtract,
@@ -152,18 +154,21 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
 
     Coordinate n keeps its phase and its modulus m becomes m**(p/q), so
     the q-th power sum of the image equals the p-th power sum of x
-    coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.
+    coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.  An
+    image coordinate beyond float range raises ``RangeError`` naming it.
     """
-    if not math.isfinite(q) or q < 1.0:
-        raise ValueError(f"exponent must satisfy 1 <= q < inf, got {q!r}")
+    check_exponent(q)
     e = x.p / q
     coords = []
-    for c in x.coords:
+    for i, c in enumerate(x.coords):
         if c == 0:
             coords.append(0j)
             continue
         m = abs(c)
-        coords.append((c / m) * m**e)
+        try:
+            coords.append((c / m) * m**e)
+        except OverflowError:
+            raise RangeError(f"g_map image at coordinate {i + 1} is beyond float range (q = {q!r})") from None
     return FinSeqVector(q, tuple(coords))
 
 
@@ -339,9 +344,8 @@ def conjugacy_class_decision(lam: complex, p: float, omega: complex, q: float) -
     True exactly when chi(|lam|) == chi(|omega|); the exponents never
     affect the answer but are validated.
     """
-    for e in (p, q):
-        if not math.isfinite(e) or e < 1.0:
-            raise ValueError(f"exponent must satisfy 1 <= p < inf, got {e!r}")
+    check_exponent(p)
+    check_exponent(q)
     lam = complex(lam)
     omega = complex(omega)
     if lam == 0 or omega == 0:
@@ -362,23 +366,17 @@ def build_conjugator(lam: complex, p: float, omega: complex, q: float) -> Conjug
         3. modulus power map onto l^q           |omega|**(q/p) B_p -> |omega| B_q
         4. diagonal with ratio |omega|/omega    |omega| B_q -> omega B_q
     """
-    for e in (p, q):
-        if not math.isfinite(e) or e < 1.0:
-            raise ValueError(f"exponent must satisfy 1 <= p < inf, got {e!r}")
     lam = complex(lam)
     omega = complex(omega)
-    if lam == 0 or omega == 0:
-        raise ValueError("shift weights must be nonzero")
+    if not conjugacy_class_decision(lam, p, omega, q):
+        raise ClassMismatchError(lam, omega, chi(abs(lam)), chi(abs(omega)))
     ml, mo = abs(lam), abs(omega)
-    cl, co = chi(ml), chi(mo)
-    if cl != co:
-        raise ClassMismatchError(lam, omega, cl, co)
 
     steps: list[Step] = []
     r1 = lam / ml
     if r1 != 1:
         steps.append(DiagStep(p, r1))
-    if cl != 0:  # on the unit circle every tail exponent acts trivially
+    if ml != 1.0:  # on the unit circle every tail exponent acts trivially
         s = (q / p) * (math.log(mo) / math.log(ml))
         if s != 1.0:
             steps.append(HStep(p, s))
@@ -399,7 +397,6 @@ class ResidualReport:
     """Residuals ||phi(S x) - T(phi x)||_q over a reproducible sample."""
 
     max_residual: float
-    residuals: tuple[float, ...]
     worst_index: int
     sample_count: int
     seed: int
@@ -440,7 +437,6 @@ def conjugacy_residual(
     worst = max(range(len(residuals)), key=residuals.__getitem__)
     return ResidualReport(
         max_residual=residuals[worst],
-        residuals=tuple(residuals),
         worst_index=worst,
         sample_count=samples,
         seed=seed,
@@ -449,10 +445,6 @@ def conjugacy_residual(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def map_to_dict(phi: ConjugacyMap) -> dict:

@@ -43,15 +43,13 @@ import numpy as np
 from .seqspace import (
     BalancedBlocks,
     Constant,
-    Explicit,
     FinSeqVector,
     PowerLawBeta,
     RangeError,
     ShiftOperator,
     WeightSequence,
     _norm_from_moduli,
-    _pair_index,
-    weight_at,
+    check_exponent,
     weight_bound,
     weights_to_dict,
 )
@@ -173,35 +171,14 @@ class DynamicsVerdict:
 def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
     """log |beta(k)| for k = 1..n as a float array, overflow-free by design.
 
-    Closed forms are used wherever the family has one, so the profile is
-    trustworthy far beyond where the raw products would leave float range.
-    Monotone increasing exactly when every weight has modulus > 1.
+    This is the family's ``log_abs_profile(0, n)``: closed forms wherever the
+    family has one, so the profile is trustworthy far beyond where the raw
+    products would leave float range.  Monotone increasing exactly when
+    every weight has modulus > 1.
     """
     if n < 1:
         raise ValueError(f"profile length must be >= 1, got {n}")
-    if isinstance(w, Constant):
-        return np.arange(1, n + 1, dtype=np.float64) * math.log(abs(w.value))
-    if isinstance(w, PowerLawBeta):
-        return w.alpha * np.log(np.arange(1, n + 1, dtype=np.float64))
-    if isinstance(w, Explicit):
-        if n > len(w.weights):
-            raise IndexError(f"profile length {n} beyond explicit list of length {len(w.weights)}")
-        return np.cumsum(np.log(np.abs(np.asarray(w.weights[:n], dtype=np.complex128))))
-    if isinstance(w, BalancedBlocks):
-        idx = np.arange(1, n + 1, dtype=np.int64)
-        kmax = _pair_index(n)
-        bounds = np.array([k * (k + 1) for k in range(1, kmax + 1)], dtype=np.int64)
-        k = np.searchsorted(bounds, idx, side="left") + 1
-        m = idx - k * (k - 1)
-        full = k * (k - 1) // 2
-        ca = full + np.minimum(m, k)
-        cb = full + np.maximum(0, m - k)
-        shared = np.minimum(ca, cb)
-        la = math.log(abs(w.first))
-        lb = math.log(abs(w.second))
-        lab = math.log(abs(w.first) * abs(w.second))
-        return shared * lab + (ca - shared) * la + (cb - shared) * lb
-    raise TypeError(f"not a weight sequence: {w!r}")
+    return w.log_abs_profile(0, n)
 
 
 def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEvidence:
@@ -253,35 +230,6 @@ def bounded_evidence(ev: HorizonEvidence) -> bool:
 # classification
 
 
-def _analytic_label(w: WeightSequence, p: float) -> DynamicsLabel | None:
-    """Closed-form label for the generator families that admit one."""
-    if isinstance(w, Constant):
-        m = abs(w.value)
-        # beta(n) = value^n: the chaos sum is geometric, so |value| > 1
-        # settles everything; otherwise the products never escape.
-        return DynamicsLabel.CHAOTIC if m > 1.0 else DynamicsLabel.NOT_TRANSITIVE
-    if isinstance(w, PowerLawBeta):
-        a = w.alpha
-        if a * p > 1.0:
-            return DynamicsLabel.CHAOTIC  # sum n^(-alpha p) converges
-        if a > 0.0:
-            return DynamicsLabel.MIXING_NOT_CHAOTIC  # n^alpha -> inf, sum diverges
-        return DynamicsLabel.NOT_TRANSITIVE  # bounded (a = 0) or decaying profile
-    if isinstance(w, BalancedBlocks):
-        m = abs(w.a) * abs(w.b)
-        # Pair k multiplies |beta| by m^k overall, with an in-pair excursion
-        # of factor |first|^k.  m decides escape; on the balanced ridge
-        # m == 1 the excursions alone decide transitivity.
-        if m > 1.0:
-            return DynamicsLabel.CHAOTIC
-        if m < 1.0:
-            return DynamicsLabel.NOT_TRANSITIVE
-        if abs(w.first) > 1.0:
-            return DynamicsLabel.TRANSITIVE_NOT_MIXING
-        return DynamicsLabel.NOT_TRANSITIVE
-    return None
-
-
 def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> DynamicsVerdict:
     """Classify the weighted backward shift with weights ``w`` on l^p.
 
@@ -292,17 +240,16 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     earn ``NumericEvidence`` when every check behind a label agrees, and
     ``Inconclusive`` otherwise or when fewer than 100 weights are available.
     """
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
+    check_exponent(p)
     if horizon < MIN_HORIZON:
         raise ValueError(f"horizon must be >= {MIN_HORIZON}, got {horizon}")
     if not math.isfinite(weight_bound(w)):
         raise ValueError("weight sequence is unbounded")
 
-    analytic = _analytic_label(w, p)
+    analytic = w.analytic_label(p)
     if analytic is not None:
         ev = horizon_evidence(w, p, horizon)
-        return DynamicsVerdict(analytic, Confidence.ANALYTIC, horizon, ev)
+        return DynamicsVerdict(DynamicsLabel(analytic), Confidence.ANALYTIC, horizon, ev)
 
     # numeric path: explicit weight lists only
     effective = min(horizon, len(w.weights))
@@ -414,7 +361,7 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
         if n >= 1:
             if x.p != t.p:
                 raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
-            w = np.array([weight_at(t.weights, i) for i in range(1, len(re))], dtype=np.complex128)
+            w = t.weights.weight_range(0, max(len(re) - 1, 0))
             a, b = w.real.copy(), w.imag.copy()
             live = min(n, len(re))
             for k in range(1, live + 1):

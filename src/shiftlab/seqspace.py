@@ -5,7 +5,8 @@ finite tuple of complex coordinates (coordinate n is zero for n beyond the
 tuple).  Every norm and tail sum is therefore a finite sum over the support,
 evaluated with correctly rounded summation (``math.fsum``), so the identities
 tested elsewhere hold up to floating-point rounding only; there is no series
-truncation error anywhere in this module.
+truncation error anywhere in this module.  ``check_exponent`` is the one
+place that decides 1 <= p < inf.
 
 Weight sequences come in four generator families:
 
@@ -13,6 +14,23 @@ Weight sequences come in four generator families:
 * ``Explicit(weights)``           w_n read from a finite list
 * ``BalancedBlocks(a, b)``        k copies of a, then k copies of b, k = 1, 2, ...
 * ``PowerLawBeta(alpha)``         positive weights whose running product is n**alpha
+
+Each family is one class with the same five methods, over the half-open
+index range lo < n <= hi (0 <= lo <= hi):
+
+* ``weight_range(lo, hi)``     the weights w_n, as a complex128 array
+* ``log_abs_profile(lo, hi)``  log |beta(n)| with beta(n) = w_1 * ... * w_n,
+                               as a float64 array that never overflows
+* ``bound()``                  an upper bound for sup_n |w_n| (inf if too big)
+* ``analytic_label(p)``        the closed-form dynamical label on l^p, as the
+                               value of a ``dynamics.DynamicsLabel``, or None
+                               when only numeric evidence can decide
+* ``to_dict()``                the JSON-ready tagged form
+
+Everything else (``weight_at``, ``log_abs_beta``, ``apply_shift``, the
+``dynamics`` profiles, labels and orbits) goes through these methods, so a
+new family is one new class, plus its ``kind`` in ``weights_from_dict`` and
+its descriptor in the CLI.
 
 ``BalancedBlocks`` tiles the index line with pairs of equal-length blocks:
 pair k occupies positions k(k-1)+1 .. k(k+1), the first k of them carrying
@@ -35,6 +53,7 @@ import numpy as np
 
 __all__ = [
     "RangeError",
+    "check_exponent",
     "FinSeqVector",
     "Constant",
     "Explicit",
@@ -44,12 +63,10 @@ __all__ = [
     "ShiftOperator",
     "weight_at",
     "weight_bound",
-    "beta",
     "log_abs_beta",
     "lp_norm",
     "tail_power_sums",
     "apply_shift",
-    "iterate_shift",
     "scale",
     "subtract",
     "max_coord_diff",
@@ -63,6 +80,14 @@ __all__ = [
 
 class RangeError(ValueError):
     """A result that should be a finite float is not: it left float range."""
+
+
+def check_exponent(p: float) -> float:
+    """``p`` as a float, or ``ValueError`` unless 1 <= p < inf."""
+    p = float(p)
+    if not math.isfinite(p) or p < 1.0:
+        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +108,7 @@ class FinSeqVector:
     coords: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        if not math.isfinite(p) or p < 1.0:
-            raise ValueError(f"exponent must satisfy 1 <= p < inf, got {self.p!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", check_exponent(self.p))
         object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
 
     @property
@@ -204,6 +226,23 @@ class Constant:
             raise ValueError("weights must be nonzero")
         object.__setattr__(self, "value", v)
 
+    def weight_range(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo, self.value, dtype=np.complex128)
+
+    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo + 1, hi + 1, dtype=np.float64) * math.log(abs(self.value))
+
+    def bound(self) -> float:
+        return abs(self.value)
+
+    def analytic_label(self, p: float) -> str:
+        # beta(n) = value^n: the chaos sum is geometric, so |value| > 1
+        # settles everything; otherwise the products never escape.
+        return "Chaotic" if abs(self.value) > 1.0 else "NotTransitive"
+
+    def to_dict(self) -> dict:
+        return {"kind": "constant", "value": _pair(self.value)}
+
 
 @dataclass(frozen=True, slots=True)
 class Explicit:
@@ -218,6 +257,44 @@ class Explicit:
         if any(w == 0 for w in ws):
             raise ValueError("weights must be nonzero")
         object.__setattr__(self, "weights", ws)
+
+    def _check_range(self, lo: int, hi: int) -> None:
+        n = len(self.weights)
+        if hi > n:
+            raise IndexError(f"weight index {max(lo, n) + 1} beyond explicit list of length {n}")
+
+    def weight_range(self, lo: int, hi: int) -> np.ndarray:
+        self._check_range(lo, hi)
+        return np.array(self.weights[lo:hi], dtype=np.complex128)
+
+    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+        self._check_range(lo, hi)
+        # the running sum always starts at w_1, so an entry has the same bits
+        # whichever range it is asked for in
+        return np.cumsum(np.log(np.abs(np.array(self.weights[:hi], dtype=np.complex128))))[lo:]
+
+    def bound(self) -> float:
+        return max(abs(v) for v in self.weights)
+
+    def analytic_label(self, p: float) -> None:
+        return None  # a finite list only ever gives finite-horizon evidence
+
+    def to_dict(self) -> dict:
+        return {"kind": "explicit", "weights": [_pair(v) for v in self.weights]}
+
+
+def _block_offsets(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair k holding each position n = lo+1..hi, and its offset t = n - k*k.
+
+    Pair k occupies k(k-1)+1 .. k(k+1), so -k < t <= k, and n lies in the
+    first block of its pair exactly when t <= 0.
+    """
+    n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    ends = np.arange(1, math.isqrt(hi) + 2, dtype=np.int64)
+    ends *= ends + 1  # pair k ends at k(k+1); pair isqrt(hi) + 1 ends past hi
+    k = np.searchsorted(ends, n) + 1
+    n -= k * k  # in place: n becomes the offset t
+    return k, n
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,6 +326,40 @@ class BalancedBlocks:
     def second(self) -> complex:
         return self.b if self.a_first else self.a
 
+    def weight_range(self, lo: int, hi: int) -> np.ndarray:
+        _, t = _block_offsets(lo, hi)
+        return np.where(t <= 0, self.first, self.second)
+
+    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+        # Up to any n there are never more second-block positions than
+        # first-block ones.  That shared count multiplies log|first * second|
+        # as an integer, so with |first * second| == 1 the value at every pair
+        # boundary is exactly 0.0 rather than a sum of opposing rounding errors.
+        k, t = _block_offsets(lo, hi)
+        shared = k * (k - 1) // 2 + np.maximum(t, 0)
+        excess = np.subtract(k, np.abs(t), out=k)  # first-block positions beyond the shared ones
+        la = math.log(abs(self.first))
+        return shared * math.log(abs(self.first) * abs(self.second)) + excess * la
+
+    def bound(self) -> float:
+        return max(abs(self.a), abs(self.b))
+
+    def analytic_label(self, p: float) -> str:
+        m = abs(self.a) * abs(self.b)
+        # Pair k multiplies |beta| by m^k overall, with an in-pair excursion
+        # of factor |first|^k.  m decides escape; on the balanced ridge
+        # m == 1 the excursions alone decide transitivity.
+        if m > 1.0:
+            return "Chaotic"
+        if m < 1.0:
+            return "NotTransitive"
+        if abs(self.first) > 1.0:
+            return "TransitiveNotMixing"
+        return "NotTransitive"
+
+    def to_dict(self) -> dict:
+        return {"kind": "blocks", "a": _pair(self.a), "b": _pair(self.b), "a_first": self.a_first}
+
 
 @dataclass(frozen=True, slots=True)
 class PowerLawBeta:
@@ -262,115 +373,61 @@ class PowerLawBeta:
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
+    def weight_range(self, lo: int, hi: int) -> np.ndarray:
+        # Python's ** per weight: numpy's power rounds differently
+        try:
+            ws = [(n / (n - 1)) ** self.alpha if n > 1 else 1.0 for n in range(lo + 1, hi + 1)]
+        except OverflowError:
+            n = max(lo + 1, 2)  # the largest weight in the range overflows first
+            raise RangeError(f"weight w_{n} = ({n}/{n - 1})**{self.alpha!r} is beyond float range") from None
+        return np.array(ws, dtype=np.complex128)
+
+    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+        return self.alpha * np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+
+    def bound(self) -> float:
+        # w_n = (n/(n-1))**alpha is largest at n = 2 for alpha > 0 and
+        # approaches 1 from below otherwise; w_1 = 1.
+        try:
+            return max(1.0, 2.0**self.alpha)
+        except OverflowError:
+            return math.inf
+
+    def analytic_label(self, p: float) -> str:
+        if self.alpha * p > 1.0:
+            return "Chaotic"  # sum n^(-alpha p) converges
+        if self.alpha > 0.0:
+            return "MixingNotChaotic"  # n^alpha -> inf, sum diverges
+        return "NotTransitive"  # bounded (alpha = 0) or decaying profile
+
+    def to_dict(self) -> dict:
+        return {"kind": "powerlaw", "alpha": self.alpha}
+
 
 WeightSequence = Union[Constant, Explicit, BalancedBlocks, PowerLawBeta]
-
-
-def _pair_index(n: int) -> int:
-    """The k with k(k-1) < n <= k(k+1) (which block pair position n falls in)."""
-    k = math.isqrt(n)
-    while k * (k - 1) >= n:
-        k -= 1
-    while k * (k + 1) < n:
-        k += 1
-    return k
-
-
-def _block_counts(n: int) -> tuple[int, int]:
-    """How many first-block and second-block positions lie in 1..n."""
-    if n <= 0:
-        return 0, 0
-    k = _pair_index(n)
-    full = k * (k - 1) // 2  # first-block (= second-block) count in pairs < k
-    m = n - k * (k - 1)  # offset of n inside pair k, 1 <= m <= 2k
-    return full + min(m, k), full + max(0, m - k)
 
 
 def weight_at(w: WeightSequence, n: int) -> complex:
     """The n-th weight, 1-based."""
     if n < 1:
         raise ValueError(f"weight index must be >= 1, got {n}")
-    if isinstance(w, Constant):
-        return w.value
-    if isinstance(w, Explicit):
-        if n > len(w.weights):
-            raise IndexError(f"weight index {n} beyond explicit list of length {len(w.weights)}")
-        return w.weights[n - 1]
-    if isinstance(w, BalancedBlocks):
-        k = _pair_index(n)
-        return w.first if n - k * (k - 1) <= k else w.second
-    if isinstance(w, PowerLawBeta):
-        if n == 1:
-            return 1 + 0j
-        return complex((n / (n - 1)) ** w.alpha)
-    raise TypeError(f"not a weight sequence: {w!r}")
+    return complex(w.weight_range(n - 1, n)[0])
 
 
 def weight_bound(w: WeightSequence) -> float:
     """An upper bound for sup_n |w_n|, or inf when it exceeds float range."""
-    if isinstance(w, Constant):
-        return abs(w.value)
-    if isinstance(w, Explicit):
-        return max(abs(v) for v in w.weights)
-    if isinstance(w, BalancedBlocks):
-        return max(abs(w.a), abs(w.b))
-    if isinstance(w, PowerLawBeta):
-        # w_n = (n/(n-1))**alpha is largest at n = 2 for alpha > 0 and
-        # approaches 1 from below otherwise; w_1 = 1.
-        try:
-            return max(1.0, 2.0**w.alpha)
-        except OverflowError:
-            return math.inf
-    raise TypeError(f"not a weight sequence: {w!r}")
-
-
-def beta(w: WeightSequence, n: int) -> complex:
-    """The running weight product beta(n) = w_1 * ... * w_n, with beta(0) = 1."""
-    if n < 0:
-        raise ValueError(f"beta index must be >= 0, got {n}")
-    if n == 0:
-        return 1 + 0j
-    if isinstance(w, Constant):
-        return w.value**n
-    if isinstance(w, Explicit):
-        if n > len(w.weights):
-            raise IndexError(f"beta index {n} beyond explicit list of length {len(w.weights)}")
-        return math.prod(w.weights[:n], start=1 + 0j)
-    if isinstance(w, BalancedBlocks):
-        ca, cb = _block_counts(n)
-        return (w.first**ca) * (w.second**cb)
-    if isinstance(w, PowerLawBeta):
-        return complex(float(n) ** w.alpha)
-    raise TypeError(f"not a weight sequence: {w!r}")
+    return w.bound()
 
 
 def log_abs_beta(w: WeightSequence, n: int) -> float:
-    """log |beta(n)|, in closed form per family so huge products never overflow.
+    """log |beta(n)| for beta(n) = w_1 * ... * w_n, with beta(0) = 1.
 
-    For ``BalancedBlocks`` the shared count of first- and second-block
-    positions is factored out so that log|first * second| multiplies an
-    integer; with |first * second| == 1 this makes the value at every pair
-    boundary exactly 0.0 rather than a sum of opposing rounding errors.
+    The n-th entry of the family's ``log_abs_profile``, so it never
+    overflows and has the bits of the profile that ``dynamics`` classifies.
     """
     if n < 0:
         raise ValueError(f"beta index must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    if isinstance(w, Constant):
-        return n * math.log(abs(w.value))
-    if isinstance(w, Explicit):
-        if n > len(w.weights):
-            raise IndexError(f"beta index {n} beyond explicit list of length {len(w.weights)}")
-        return math.fsum(math.log(abs(v)) for v in w.weights[:n])
-    if isinstance(w, BalancedBlocks):
-        ca, cb = _block_counts(n)
-        la = math.log(abs(w.first))
-        lb = math.log(abs(w.second))
-        shared = min(ca, cb)
-        return shared * math.log(abs(w.first) * abs(w.second)) + (ca - shared) * la + (cb - shared) * lb
-    if isinstance(w, PowerLawBeta):
-        return w.alpha * math.log(n)
-    raise TypeError(f"not a weight sequence: {w!r}")
+    return float(w.log_abs_profile(n - 1, n)[0]) if n else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +442,22 @@ class ShiftOperator:
     p: float
 
     def __post_init__(self) -> None:
-        p = float(self.p)
-        if not math.isfinite(p) or p < 1.0:
-            raise ValueError(f"exponent must satisfy 1 <= p < inf, got {self.p!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", check_exponent(self.p))
 
 
 def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:
-    """One application of the weighted backward shift; shortens support by one."""
+    """One application of the weighted backward shift; shortens support by one.
+
+    The weights come from one ``weight_range`` call and multiply as Python
+    complexes: numpy's complex product does not round the same way.
+    """
     if x.p != t.p:
         raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
     n = len(x.coords)
     if n <= 1:
         return FinSeqVector(x.p, ())
-    return FinSeqVector(x.p, tuple(weight_at(t.weights, i) * x.coords[i] for i in range(1, n)))
-
-
-def iterate_shift(t: ShiftOperator, x: FinSeqVector, n: int) -> FinSeqVector:
-    """The n-th iterate T^n x (n >= 0)."""
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    for _ in range(n):
-        x = apply_shift(t, x)
-    return x
+    ws = t.weights.weight_range(0, n - 1).tolist()
+    return FinSeqVector(x.p, tuple(w * c for w, c in zip(ws, x.coords[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +516,7 @@ def vector_from_dict(d: dict) -> FinSeqVector:
 
 def weights_to_dict(w: WeightSequence) -> dict:
     """JSON-ready tagged form, ``kind`` one of constant/explicit/blocks/powerlaw."""
-    if isinstance(w, Constant):
-        return {"kind": "constant", "value": _pair(w.value)}
-    if isinstance(w, Explicit):
-        return {"kind": "explicit", "weights": [_pair(v) for v in w.weights]}
-    if isinstance(w, BalancedBlocks):
-        return {"kind": "blocks", "a": _pair(w.a), "b": _pair(w.b), "a_first": w.a_first}
-    if isinstance(w, PowerLawBeta):
-        return {"kind": "powerlaw", "alpha": w.alpha}
-    raise TypeError(f"not a weight sequence: {w!r}")
+    return w.to_dict()
 
 
 def weights_from_dict(d: dict) -> WeightSequence:

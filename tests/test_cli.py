@@ -207,6 +207,18 @@ def test_orbit_escape_past_squared_float_range(capsys):
     assert all(v == pytest.approx(10.0**k, rel=1e-12) for k, v in enumerate(norms))
 
 
+def test_orbit_powerlaw_weight_overflow_is_a_range_error(capsys):
+    # w_2 = 2**1100 is beyond float range; a basis vector e1 takes no step
+    code, out, err = run(capsys, "orbit", "--op", "powerlaw:1100", "--point", "box:5", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "w_2" in err
+    assert "Traceback" not in err
+    code, doc = run_json(capsys, "orbit", "--op", "powerlaw:1100", "--point", "e1", "--n", "3")
+    assert code == 0
+    assert doc["result"]["norms"] == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_orbit_escape_past_float_range_is_a_range_error(capsys):
     code, out, err = run(capsys, "orbit", "--op", "constant:10", "--point", "escape", "--n", "400")
     assert code == 1
@@ -269,6 +281,17 @@ def test_apply_map_h_overflow_is_a_range_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 2, "coords": [[1e10, 0], [3, 4]]}))
     code, out, err = run(capsys, "apply-map", "--h", "s=200", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "coordinate 1" in err
+    assert "Traceback" not in err
+
+
+def test_apply_map_g_overflow_is_a_range_error(capsys, tmp_path):
+    # |x_1|**(4/1) = 1e1200 is beyond float range
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 4, "coords": [[1e300, 0], [1, 0]]}))
+    code, out, err = run(capsys, "apply-map", "--g", "q=1", "--in", str(path))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "coordinate 1" in err

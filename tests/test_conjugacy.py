@@ -17,6 +17,7 @@ from shiftlab import (
     HStep,
     RangeError,
     ShiftOperator,
+    apply_shift,
     build_conjugator,
     chi,
     conjugacy_class_decision,
@@ -200,6 +201,14 @@ def test_g_map_rejects_bad_exponent():
         g_map(FinSeqVector(2.0, (1,)), 0.5)
 
 
+def test_g_map_overflow_is_a_range_error():
+    # (1e300)**(4/1) = 1e1200 is beyond float range; 1**4 is not
+    with pytest.raises(RangeError, match="coordinate 1"):
+        g_map(FinSeqVector(4.0, (1e300, 1)), 1.0)
+    with pytest.raises(RangeError, match="coordinate 2"):
+        g_map(FinSeqVector(4.0, (1, -1e300j)), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # steps and composite maps
 
@@ -348,8 +357,9 @@ def test_residual_report_structure_and_determinism():
     a = conjugacy_residual(s, t, phi, samples=30, seed=9)
     b = conjugacy_residual(s, t, phi, samples=30, seed=9)
     assert a == b
-    assert a.sample_count == 30 and len(a.residuals) == 30
-    assert a.max_residual == a.residuals[a.worst_index] == max(a.residuals)
+    residuals = [lp_norm(subtract(phi(apply_shift(s, x)), apply_shift(t, phi(x)))) for x in random_vectors(30, 2.0, 9)]
+    assert a.sample_count == 30
+    assert a.max_residual == residuals[a.worst_index] == max(residuals)
     assert a.to_dict()["seed"] == 9
     with pytest.raises(ValueError):
         conjugacy_residual(s, t, phi, samples=0)

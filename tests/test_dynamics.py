@@ -21,7 +21,6 @@ from shiftlab import (
     classify,
     escape_demo,
     example3_point,
-    iterate_shift,
     log_abs_beta,
     lp_norm,
     make_example,
@@ -340,9 +339,9 @@ def test_example3_orbit_step_witness_is_exact():
     # the dominant coordinate at step n is exactly 1: the entry value
     # 2^(1-k) at position k(k+1) meets the in-pair product 2^(k-1), k = n+1
     t3 = make_example("T3")
-    x = example3_point(6)
+    y = example3_point(6)
     for n in range(1, 6):
-        y = iterate_shift(t3, x, n)
+        y = apply_shift(t3, y)  # T3^n x
         witness = y.coord((n + 1) * (n + 2) - n)
         assert witness == 1.0
 
@@ -440,6 +439,15 @@ def test_orbit_norms_checks_operator_only_when_stepping():
     assert orbit_norms(other_p, x, 0).norms == (lp_norm(x),)
     with pytest.raises(ValueError):
         orbit_norms(other_p, x, 1)
+
+
+@pytest.mark.parametrize(
+    "w", [Constant(2), Explicit((1,)), BalancedBlocks(2, 0.5), PowerLawBeta(1100.0)]
+)
+def test_orbit_norms_of_empty_and_one_coordinate_vectors(w):
+    t = ShiftOperator(w, 2.0)
+    assert orbit_norms(t, FinSeqVector(2.0, ()), 3).norms == (0.0,) * 4
+    assert orbit_norms(t, FinSeqVector(2.0, (3 + 4j,)), 3).norms == (5.0, 0.0, 0.0, 0.0)
 
 
 def test_orbit_norms_past_float_range_names_the_step():

@@ -18,8 +18,7 @@ from shiftlab import (
     RangeError,
     ShiftOperator,
     apply_shift,
-    beta,
-    iterate_shift,
+    beta_profile,
     log_abs_beta,
     lp_norm,
     max_coord_diff,
@@ -234,6 +233,135 @@ def test_weight_bound():
 
 
 # ---------------------------------------------------------------------------
+# the five-method protocol of the weight families
+
+
+def _pair_index_reference(n):
+    """The k with k(k-1) < n <= k(k+1)."""
+    k = math.isqrt(n)
+    while k * (k - 1) >= n:
+        k -= 1
+    while k * (k + 1) < n:
+        k += 1
+    return k
+
+
+def _weight_at_reference(w, n):
+    """The n-th weight, one index at a time, per family."""
+    if isinstance(w, Constant):
+        return w.value
+    if isinstance(w, Explicit):
+        return w.weights[n - 1]
+    if isinstance(w, BalancedBlocks):
+        k = _pair_index_reference(n)
+        return w.first if n - k * (k - 1) <= k else w.second
+    if n == 1:
+        return 1 + 0j
+    return complex((n / (n - 1)) ** w.alpha)
+
+
+def _beta_profile_reference(w, n):
+    """log |beta(k)| for k = 1..n, one whole-profile closed form per family."""
+    if isinstance(w, Constant):
+        return np.arange(1, n + 1, dtype=np.float64) * math.log(abs(w.value))
+    if isinstance(w, PowerLawBeta):
+        return w.alpha * np.log(np.arange(1, n + 1, dtype=np.float64))
+    if isinstance(w, Explicit):
+        return np.cumsum(np.log(np.abs(np.asarray(w.weights[:n], dtype=np.complex128))))
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    bounds = np.array([k * (k + 1) for k in range(1, _pair_index_reference(n) + 1)], dtype=np.int64)
+    k = np.searchsorted(bounds, idx, side="left") + 1
+    m = idx - k * (k - 1)
+    full = k * (k - 1) // 2
+    ca = full + np.minimum(m, k)
+    cb = full + np.maximum(0, m - k)
+    shared = np.minimum(ca, cb)
+    la = math.log(abs(w.first))
+    lb = math.log(abs(w.second))
+    lab = math.log(abs(w.first) * abs(w.second))
+    return shared * lab + (ca - shared) * la + (cb - shared) * lb
+
+
+_modulus = st.floats(min_value=0.05, max_value=20.0)
+_phase = st.floats(min_value=-math.pi, max_value=math.pi)
+_weight = st.builds(cmath.rect, _modulus, _phase)
+
+
+@st.composite
+def _family_ranges(draw):
+    hi = draw(st.integers(min_value=1, max_value=2000))
+    lo = draw(st.integers(min_value=0, max_value=hi - 1))
+    family = draw(st.sampled_from(["constant", "explicit", "blocks", "powerlaw"]))
+    if family == "constant":
+        w = Constant(draw(_weight))
+    elif family == "explicit":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        moduli = rng.uniform(0.05, 20.0, hi + draw(st.integers(0, 3)))
+        w = Explicit(tuple(cmath.rect(m, t) for m, t in zip(moduli, rng.uniform(-math.pi, math.pi, moduli.size))))
+    elif family == "blocks":
+        w = BalancedBlocks(draw(_weight), draw(_weight), draw(st.booleans()))
+    else:
+        w = PowerLawBeta(draw(st.floats(min_value=-3.0, max_value=3.0)))
+    return w, lo, hi
+
+
+@given(_family_ranges())
+@settings(max_examples=200, deadline=None)
+def test_protocol_ranges_match_per_index_and_whole_profile_bit_for_bit(case):
+    w, lo, hi = case
+    ws = w.weight_range(lo, hi)
+    ref = np.array([_weight_at_reference(w, n) for n in range(lo + 1, hi + 1)], dtype=np.complex128)
+    assert ws.dtype == np.complex128 and ws.tobytes() == ref.tobytes()
+    prof = w.log_abs_profile(lo, hi)
+    assert prof.dtype == np.float64
+    assert prof.tobytes() == beta_profile(w, hi)[lo:].tobytes() == _beta_profile_reference(w, hi)[lo:].tobytes()
+
+
+_FAMILIES = [
+    Constant(0.5 + 0.5j),
+    Explicit((2, 0.5j, -3, 1 + 1j, 0.25, 1.1, 0.9, 7, 1 / 3, 2.5) * 30),
+    BalancedBlocks(3.0, 0.25, a_first=False),
+    PowerLawBeta(0.37),
+]
+
+
+@pytest.mark.parametrize("w", _FAMILIES)
+def test_log_abs_beta_is_the_profile_entry(w):
+    prof = beta_profile(w, 300)
+    for n in range(1, 301):
+        assert log_abs_beta(w, n) == prof[n - 1]
+    assert log_abs_beta(w, 0) == 0.0
+
+
+@pytest.mark.parametrize("w", _FAMILIES)
+def test_protocol_empty_ranges(w):
+    for k in (0, 1, 7):
+        ws, prof = w.weight_range(k, k), w.log_abs_profile(k, k)
+        assert ws.shape == prof.shape == (0,)
+        assert ws.dtype == np.complex128 and prof.dtype == np.float64
+
+
+def test_explicit_range_past_the_list_is_an_index_error():
+    w = Explicit((1, 2, 3))
+    assert w.weight_range(1, 3).tolist() == [2, 3]
+    with pytest.raises(IndexError, match="weight index 4 beyond explicit list of length 3"):
+        w.weight_range(0, 4)
+    with pytest.raises(IndexError, match="weight index 6 beyond explicit list of length 3"):
+        w.weight_range(5, 7)
+    with pytest.raises(IndexError, match="weight index 4 beyond explicit list of length 3"):
+        w.log_abs_profile(2, 4)
+
+
+def test_powerlaw_weight_overflow_is_a_range_error():
+    w = PowerLawBeta(1100.0)
+    assert w.weight_range(0, 1).tolist() == [1]
+    with pytest.raises(RangeError, match="w_2 "):
+        w.weight_range(0, 3)
+    with pytest.raises(RangeError, match="w_4 "):
+        PowerLawBeta(5000.0).weight_range(3, 6)
+
+
+# ---------------------------------------------------------------------------
 # beta products
 
 
@@ -253,15 +381,14 @@ def test_weight_bound():
 def test_beta_recursion(w):
     # beta(n) = beta(n-1) * w_n, the defining property of the product
     for n in range(1, 39):
-        lhs = beta(w, n)
-        rhs = beta(w, n - 1) * weight_at(w, n)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        step = log_abs_beta(w, n) - log_abs_beta(w, n - 1)
+        assert step == pytest.approx(math.log(abs(weight_at(w, n))), abs=1e-12)
 
 
 def test_beta_base_case():
-    assert beta(Constant(7), 0) == 1
+    assert log_abs_beta(Constant(7), 0) == 0.0
     with pytest.raises(ValueError):
-        beta(Constant(7), -1)
+        log_abs_beta(Constant(7), -1)
 
 
 def test_beta_explicit_matches_product_oracle():
@@ -270,28 +397,33 @@ def test_beta_explicit_matches_product_oracle():
     acc = 1 + 0j
     for n, v in enumerate(ws, start=1):
         acc *= v
-        assert beta(w, n) == pytest.approx(acc, rel=1e-14)
+        assert log_abs_beta(w, n) == pytest.approx(math.log(abs(acc)), abs=1e-14)
     with pytest.raises(IndexError):
-        beta(w, 6)
+        log_abs_beta(w, 6)
 
 
 def test_powerlaw_beta_is_sqrt_n():
     w = PowerLawBeta(0.5)
     for n in list(range(1, 100)) + [512, 1000, 4096, 9999, 10_000]:
-        assert abs(beta(w, n) - math.sqrt(n)) <= 1e-12 * math.sqrt(n)
+        assert abs(math.exp(log_abs_beta(w, n)) - math.sqrt(n)) <= 1e-12 * math.sqrt(n)
 
 
 def test_blocks_beta_returns_to_one_at_pair_boundaries():
+    # and peaks at 2^k after the k doubling weights of pair k
     w = BalancedBlocks(2.0, 0.5)
     for k in range(1, 30):
-        assert beta(w, k * (k + 1)) == pytest.approx(1.0, rel=1e-12)
+        assert log_abs_beta(w, k * (k + 1)) == 0.0
+        assert log_abs_beta(w, k * k) == pytest.approx(k * math.log(2.0), rel=1e-15)
 
 
 def test_log_abs_beta_matches_beta_where_small():
     for w in (Constant(1.5), BalancedBlocks(2.0, 0.5), PowerLawBeta(0.75), Explicit((2, 3, 0.5, 1j))):
         top = 4 if isinstance(w, Explicit) else 60
+        acc = 1 + 0j  # beta(n) as a running product of the weights
         for n in range(0, top + 1):
-            assert log_abs_beta(w, n) == pytest.approx(math.log(abs(beta(w, n))), abs=1e-11)
+            if n:
+                acc *= weight_at(w, n)
+            assert log_abs_beta(w, n) == pytest.approx(math.log(abs(acc)), abs=1e-11)
 
 
 def test_log_abs_beta_boundary_cancellation_is_exact():
@@ -305,6 +437,8 @@ def test_log_abs_beta_boundary_cancellation_is_exact():
 def test_log_abs_beta_safe_far_beyond_float_range():
     # 2^(10^7) overflows any float, the log form must not care
     assert log_abs_beta(Constant(2.0), 10_000_000) == pytest.approx(1e7 * math.log(2), rel=1e-15)
+    # 10^6 = 999 * 1000 + 1000 ends the doubling block of pair 1000
+    assert log_abs_beta(BalancedBlocks(2.0, 0.5), 10**6) == pytest.approx(1000 * math.log(2.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +462,6 @@ def test_shift_annihilates_basis_vector():
     e1 = FinSeqVector(2.0, (1,))
     assert apply_shift(t, e1).coords == ()
     assert lp_norm(apply_shift(t, e1)) == 0.0
-
-
-@given(vectors, st.integers(min_value=0, max_value=6))
-@settings(max_examples=50)
-def test_iterate_shift_matches_repeated_application(x, n):
-    t = ShiftOperator(Constant(2.0 + 1.0j), x.p)
-    y = x
-    for _ in range(n):
-        y = apply_shift(t, y)
-    assert iterate_shift(t, x, n) == y
-
-
-def test_iterate_shift_rejects_negative():
-    t = ShiftOperator(Constant(1), 2.0)
-    with pytest.raises(ValueError):
-        iterate_shift(t, FinSeqVector(2.0, (1,)), -1)
 
 
 def test_constant_shift_scales_norm_on_l2():
