@@ -1,0 +1,212 @@
+"""Wall time and memory of the shiftlab CLI and of its kernels, in one JSON file.
+
+    python3 bench/run.py --out BENCH_7.json
+
+Run from the root of a checkout: shiftlab is imported from ``src/``.  The
+script uses the standard library and numpy only, and takes about 35 s on a
+2-core machine.  The file it writes has four fields:
+
+* ``machine``  Python, numpy and libc versions, CPU model and count.
+* ``e2e``      per CLI scenario: the median wall time in ms over REPEATS
+               fresh interpreters, and the largest ``ru_maxrss`` among them
+               in MB, read with ``os.wait4`` while this process is still
+               small.  Every run must exit 0.
+* ``layers``   per ``kernel@size``: the median in-process time in ms of at
+               least three calls after one warm-up call, and the
+               ``tracemalloc`` peak in MiB of one more call.
+* ``slope``    per kernel: the least-squares slope of log time and of log
+               peak against log size over its three sizes, 4x apart.  A time
+               slope near 1 means O(n) work, near 2 O(n^2); a peak slope
+               near 0 means memory that does not grow with the size.
+
+Times are wall-clock on a shared machine, which can drift by tens of per
+cent within minutes: compare two commits with runs made close together.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from functools import partial
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+REPEATS = 3
+MIN_CALLS = 3
+MIN_SECONDS = 0.25  # keep calling a fast kernel until this much time has passed
+MAX_CALLS = 200
+
+CLI = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# name -> argv; "{vec}" is replaced by a file holding a 4096-coordinate vector
+SCENARIOS = {
+    "classify T2": ["classify", "--weights", "example:T2"],
+    "classify T2 --horizon 1e7": ["classify", "--weights", "example:T2", "--horizon", "10000000"],
+    "conjugate-check 2:1 4:3": ["conjugate-check", "--f", "2:1", "--g", "4:3"],
+    "conjugate-check 2:1 4:3 --samples 2000": ["conjugate-check", "--f", "2:1", "--g", "4:3", "--samples", "2000"],
+    "orbit T3 example3:20 --n 419": ["orbit", "--op", "example:T3", "--point", "example3:20", "--n", "419"],
+    "orbit T3 box:2000 --n 2000": ["orbit", "--op", "example:T3", "--point", "box:2000", "--n", "2000"],
+    "orbit escape --n 300": ["orbit", "--op", "constant:2", "--point", "escape", "--n", "300"],
+    "apply-map --h s=2 --roundtrip 4096": ["apply-map", "--h", "s=2", "--roundtrip", "--in", "{vec}"],
+}
+
+
+def _kernels() -> dict:
+    """kernel -> (three sizes 4x apart, size -> a call with its inputs built).
+
+    shiftlab and numpy are imported here, after the CLI runs: a child's
+    ``ru_maxrss`` starts at the size of the process that spawned it, so
+    this process stays small until those have been measured.
+    """
+    sys.path.insert(0, SRC)
+    from shiftlab import (
+        Constant,
+        ShiftOperator,
+        build_conjugator,
+        conjugacy_residual,
+        escape_demo,
+        g_map,
+        h_map,
+        lp_norm,
+        make_example,
+        orbit_norms,
+        random_vectors,
+        tail_power_sums,
+    )
+    from shiftlab.dynamics import beta_profile, horizon_evidence
+
+    def vector(n, p):
+        return random_vectors(1, p, seed=n, support_range=(n, n))[0]
+
+    def on_vector(kernel, p, *args):
+        return lambda n: partial(kernel, vector(n, p), *args)
+
+    def residual(samples):
+        phi = build_conjugator(2.0, 2.0, 4.0, 3.0)
+        source, target = ShiftOperator(Constant(2.0), 2.0), ShiftOperator(Constant(4.0), 3.0)
+        return partial(conjugacy_residual, source, target, phi, samples=samples, seed=1)
+
+    t2, t3 = make_example("T2"), make_example("T3")
+    return {
+        "seqspace.lp_norm": ((2048, 8192, 32768), on_vector(lp_norm, 3.0)),
+        "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
+        "conjugacy.h_map": ((512, 2048, 8192), on_vector(h_map, 2.0, 2.0)),
+        "conjugacy.g_map": ((1024, 4096, 16384), on_vector(g_map, 2.0, 4.0)),
+        "conjugacy.conjugacy_residual": ((25, 100, 400), residual),
+        "dynamics.orbit_norms": ((128, 512, 2048), lambda n: partial(orbit_norms, t3, vector(n, 2.0), n)),
+        "dynamics.escape_demo": ((100, 400, 1600), lambda n: partial(escape_demo, 1.5, 2.0, n)),
+        "dynamics.beta_profile": ((250_000, 1_000_000, 4_000_000), lambda n: partial(beta_profile, t2.weights, n)),
+        "dynamics.horizon_evidence": (
+            (250_000, 1_000_000, 4_000_000),
+            lambda n: partial(horizon_evidence, t2.weights, 2.0, n),
+        ),
+    }
+
+
+def _time_ms(call) -> float:
+    call()  # warm-up
+    times = []
+    start = time.perf_counter()
+    while len(times) < MAX_CALLS and (len(times) < MIN_CALLS or time.perf_counter() - start < MIN_SECONDS):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def _peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _slope(sizes, values) -> float:
+    xs = [math.log(s) for s in sizes]
+    ys = [math.log(v) for v in values]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def _run_cli(argv: list[str]) -> tuple[float, float]:
+    """Wall time in ms and ru_maxrss in MB of one CLI run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"shiftlab {' '.join(argv)} exited {proc.returncode}")
+    return elapsed * 1e3, usage.ru_maxrss / 1024
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "libc": " ".join(platform.libc_ver()),
+        "cpu": model or platform.processor(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_7.json")
+    args = parser.parse_args()
+
+    e2e = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        vec = os.path.join(tmp, "vec.json")
+        rng = random.Random(4096)
+        with open(vec, "w", encoding="utf-8") as f:
+            json.dump({"p": 2.0, "coords": [[rng.uniform(-10, 10), rng.uniform(-10, 10)] for _ in range(4096)]}, f)
+        for name, argv in SCENARIOS.items():
+            runs = [_run_cli([vec if a == "{vec}" else a for a in argv]) for _ in range(REPEATS)]
+            e2e[name] = {
+                "median_ms": statistics.median(ms for ms, _ in runs),
+                "max_rss_mb": max(mb for _, mb in runs),
+            }
+            print(f"e2e  {name}: {e2e[name]}", file=sys.stderr)
+
+    layers, slope = {}, {}
+    for kernel, (sizes, make) in _kernels().items():
+        times, peaks = [], []
+        for n in sizes:
+            call = make(n)
+            times.append(_time_ms(call))
+            peaks.append(_peak_mib(call))
+            layers[f"{kernel}@{n}"] = {"median_ms": times[-1], "peak_mib": peaks[-1]}
+            print(f"layer {kernel}@{n}: {layers[f'{kernel}@{n}']}", file=sys.stderr)
+        slope[kernel] = {"time": _slope(sizes, times), "peak": _slope(sizes, peaks)}
+
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump({"machine": _machine(), "e2e": e2e, "layers": layers, "slope": slope}, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()

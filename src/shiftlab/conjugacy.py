@@ -154,8 +154,9 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
 
     Coordinate n keeps its phase and its modulus m becomes m**(p/q), so
     the q-th power sum of the image equals the p-th power sum of x
-    coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.  An
-    image coordinate beyond float range raises ``RangeError`` naming it.
+    coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.  A
+    coordinate whose modulus or image is beyond float range raises
+    ``RangeError`` naming it.
     """
     check_exponent(q)
     e = x.p / q
@@ -164,7 +165,10 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
         if c == 0:
             coords.append(0j)
             continue
-        m = abs(c)
+        try:
+            m = abs(c)
+        except OverflowError:
+            raise RangeError(f"|x_n| at coordinate {i + 1} is beyond float range") from None
         try:
             coords.append((c / m) * m**e)
         except OverflowError:

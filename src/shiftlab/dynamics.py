@@ -181,16 +181,79 @@ def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
     return w.log_abs_profile(0, n)
 
 
+# Ranges of at most this many terms are leaves of the streamed pairwise sums:
+# each is summed by one np.sum call over a buffer of at most twice this size.
+_LEAF = 1 << 13
+
+
+def _pairwise_tree(lo: int, hi: int):
+    """The order in which ``np.sum`` adds the float64 terms lo..hi-1.
+
+    A generator: it yields the leaf ranges (lo, hi) in rising order, is sent
+    each leaf's ``np.sum`` back, and returns the leaves added up along the
+    tree of numpy's ``pairwise_sum`` for one contiguous array, where a range
+    of more than 128 terms splits after n//2 terms rounded down to a
+    multiple of 8.  A leaf is a node of that tree, which ``np.sum`` of the
+    leaf alone walks the same way, so the total has the bits of ``np.sum``
+    over the whole range.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return (yield lo, hi)
+    half = n // 2 - n // 2 % 8
+    left = yield from _pairwise_tree(lo, lo + half)
+    right = yield from _pairwise_tree(lo + half, hi)
+    return left + right
+
+
+def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ...]) -> list[float]:
+    """``np.sum(exp(-p * profile)[s:])`` for each s in ``starts``, streamed.
+
+    The trees of the sums ask for their leaves in one rising sweep.  A
+    rolling buffer holds the terms of the leaves in flight, so each term is
+    computed once, from one ``log_abs_profile`` chunk, and no array longer
+    than 2 * _LEAF is built.
+    """
+    trees = [_pairwise_tree(s, horizon) for s in starts]
+    asks = [next(t) for t in trees]
+    sums = [0.0] * len(trees)
+    buf, buf_lo = np.empty(0), 0  # the terms buf_lo .. buf_lo + len(buf) - 1
+    while any(asks):
+        i = min((ask[0], i) for i, ask in enumerate(asks) if ask)[1]
+        lo, hi = asks[i]
+        buf_hi = buf_lo + len(buf)
+        if hi > buf_hi:
+            profile = w.log_abs_profile(max(lo, buf_hi), hi)
+            with np.errstate(over="ignore", under="ignore"):
+                buf = np.concatenate((buf[lo - buf_lo :], np.exp(-p * profile)))
+            buf_lo = lo
+        with np.errstate(over="ignore", under="ignore"):
+            leaf = float(buf[lo - buf_lo : hi - buf_lo].sum())
+        try:
+            asks[i] = trees[i].send(leaf)
+        except StopIteration as done:
+            asks[i], sums[i] = None, done.value
+    return sums
+
+
 def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEvidence:
-    """Compute the scalar diagnostics of the profile of ``w`` up to ``horizon``."""
-    profile = beta_profile(w, horizon)
+    """Compute the scalar diagnostics of the profile of ``w`` up to ``horizon``.
+
+    The profile is never built whole.  The two sums of exp(-p * profile)
+    stream it in chunks of at most _LEAF terms, and the head and tail
+    windows are isqrt(horizon) long, so memory is O(_LEAF + isqrt(horizon))
+    where the full profile took O(horizon).  The bits are those of the
+    full-array computation: each chunk of ``log_abs_profile`` has the bits
+    of the same slice of ``beta_profile``, the terms are elementwise, and
+    both sums add their terms along the tree ``np.sum`` walks over the
+    whole array.
+    """
+    if horizon < 1:
+        raise ValueError(f"profile length must be >= 1, got {horizon}")
     window = math.isqrt(horizon)
-    with np.errstate(over="ignore", under="ignore"):
-        terms = np.exp(-p * profile)
-        partial = float(terms.sum())
-        increment = float(terms[horizon // 10 :].sum())
-    head = profile[:window]
-    tail = profile[horizon - window :]
+    head = w.log_abs_profile(0, window)
+    partial, increment = _chaos_sums(w, p, horizon, (0, horizon // 10))
+    tail = w.log_abs_profile(horizon - window, horizon)
     return HorizonEvidence(
         horizon=horizon,
         window=window,

@@ -45,8 +45,9 @@ the first weight and ``x.coord(1)`` the first coordinate.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -214,6 +215,24 @@ def max_coord_diff(x: FinSeqVector, y: FinSeqVector) -> float:
 # weight sequences
 
 
+def _checked_weight(value: object) -> complex:
+    """``value`` as a weight, or ``ValueError`` unless finite and nonzero."""
+    w = complex(value)
+    if w == 0:
+        raise ValueError("weights must be nonzero")
+    if not cmath.isfinite(w):
+        raise ValueError(f"weights must be finite, got {w!r}")
+    return w
+
+
+def _modulus_or_inf(w: complex) -> float:
+    """|w|, or inf when the modulus of finite parts is beyond float range."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True, slots=True)
 class Constant:
     """The constant weight sequence w_n = value."""
@@ -221,10 +240,7 @@ class Constant:
     value: complex
 
     def __post_init__(self) -> None:
-        v = complex(self.value)
-        if v == 0:
-            raise ValueError("weights must be nonzero")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _checked_weight(self.value))
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
         return np.full(hi - lo, self.value, dtype=np.complex128)
@@ -233,7 +249,7 @@ class Constant:
         return np.arange(lo + 1, hi + 1, dtype=np.float64) * math.log(abs(self.value))
 
     def bound(self) -> float:
-        return abs(self.value)
+        return _modulus_or_inf(self.value)
 
     def analytic_label(self, p: float) -> str:
         # beta(n) = value^n: the chaos sum is geometric, so |value| > 1
@@ -249,14 +265,19 @@ class Explicit:
     """A finite, explicitly listed weight sequence."""
 
     weights: tuple[complex, ...]
+    _log_abs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ws = tuple(complex(w) for w in self.weights)
+        ws = tuple(_checked_weight(w) for w in self.weights)
         if not ws:
             raise ValueError("explicit weight list must be nonempty")
-        if any(w == 0 for w in ws):
-            raise ValueError("weights must be nonzero")
         object.__setattr__(self, "weights", ws)
+        # the whole profile, once: a running sum from w_1 gives an entry the
+        # same bits whichever range it is asked for in, and a list the caller
+        # holds bounds its size
+        with np.errstate(over="ignore"):
+            log_abs = np.log(np.abs(np.array(ws, dtype=np.complex128)))
+        object.__setattr__(self, "_log_abs", np.cumsum(log_abs))
 
     def _check_range(self, lo: int, hi: int) -> None:
         n = len(self.weights)
@@ -269,12 +290,10 @@ class Explicit:
 
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
         self._check_range(lo, hi)
-        # the running sum always starts at w_1, so an entry has the same bits
-        # whichever range it is asked for in
-        return np.cumsum(np.log(np.abs(np.array(self.weights[:hi], dtype=np.complex128))))[lo:]
+        return self._log_abs[lo:hi].copy()
 
     def bound(self) -> float:
-        return max(abs(v) for v in self.weights)
+        return max(_modulus_or_inf(v) for v in self.weights)
 
     def analytic_label(self, p: float) -> None:
         return None  # a finite list only ever gives finite-horizon evidence
@@ -290,9 +309,10 @@ def _block_offsets(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     first block of its pair exactly when t <= 0.
     """
     n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    ends = np.arange(1, math.isqrt(hi) + 2, dtype=np.int64)
+    k0 = max(math.isqrt(lo), 1)  # pair k0 - 1 ends at (k0 - 1) * k0 <= lo
+    ends = np.arange(k0, math.isqrt(hi) + 2, dtype=np.int64)
     ends *= ends + 1  # pair k ends at k(k+1); pair isqrt(hi) + 1 ends past hi
-    k = np.searchsorted(ends, n) + 1
+    k = np.searchsorted(ends, n) + k0
     n -= k * k  # in place: n becomes the offset t
     return k, n
 
@@ -310,12 +330,8 @@ class BalancedBlocks:
     a_first: bool = True
 
     def __post_init__(self) -> None:
-        a = complex(self.a)
-        b = complex(self.b)
-        if a == 0 or b == 0:
-            raise ValueError("weights must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _checked_weight(self.a))
+        object.__setattr__(self, "b", _checked_weight(self.b))
         object.__setattr__(self, "a_first", bool(self.a_first))
 
     @property
@@ -342,7 +358,7 @@ class BalancedBlocks:
         return shared * math.log(abs(self.first) * abs(self.second)) + excess * la
 
     def bound(self) -> float:
-        return max(abs(self.a), abs(self.b))
+        return max(_modulus_or_inf(self.a), _modulus_or_inf(self.b))
 
     def analytic_label(self, p: float) -> str:
         m = abs(self.a) * abs(self.b)
@@ -511,7 +527,12 @@ def vector_to_dict(x: FinSeqVector) -> dict:
 
 
 def vector_from_dict(d: dict) -> FinSeqVector:
-    return FinSeqVector(float(d["p"]), tuple(_unpair(c) for c in d["coords"]))
+    """The vector of a ``vector_to_dict`` form; ``ValueError`` for a non-finite coordinate."""
+    x = FinSeqVector(float(d["p"]), tuple(_unpair(c) for c in d["coords"]))
+    for n, c in enumerate(x.coords, 1):
+        if not cmath.isfinite(c):
+            raise ValueError(f"coordinate {n} must be finite, got {c!r}")
+    return x
 
 
 def weights_to_dict(w: WeightSequence) -> dict:

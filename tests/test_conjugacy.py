@@ -207,6 +207,9 @@ def test_g_map_overflow_is_a_range_error():
         g_map(FinSeqVector(4.0, (1e300, 1)), 1.0)
     with pytest.raises(RangeError, match="coordinate 2"):
         g_map(FinSeqVector(4.0, (1, -1e300j)), 1.0)
+    # the modulus of 1.5e308 + 1.5e308j is itself beyond float range
+    with pytest.raises(RangeError, match="coordinate 1"):
+        g_map(FinSeqVector(2.0, (complex(1.5e308, 1.5e308), 1)), 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Classification, example operators, beta profiles, and orbit traces."""
 
+import cmath
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -27,9 +30,11 @@ from shiftlab import (
     orbit_norms,
     weight_at,
 )
+from shiftlab import dynamics
 from shiftlab.dynamics import (
     Confidence,
     DynamicsLabel,
+    HorizonEvidence,
     bounded_evidence,
     chaotic_evidence,
     horizon_evidence,
@@ -106,6 +111,10 @@ def test_classify_validates_inputs():
         classify(Constant(2), 2.0, horizon=99)
     with pytest.raises(ValueError):
         classify(PowerLawBeta(2000.0), 2.0)  # weight bound overflows
+    huge = complex(1.5e308, 1.5e308)  # finite parts, modulus beyond float range
+    for w in (Constant(huge), Explicit((1, huge)), BalancedBlocks(huge, 1)):
+        with pytest.raises(ValueError, match="unbounded"):
+            classify(w, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,93 @@ def test_evidence_window_is_sqrt_horizon():
     ev = horizon_evidence(Constant(1.0), 2.0, 10_000)
     assert ev.window == 100
     assert ev.horizon == 10_000
+
+
+def _full_array_evidence(w, p, horizon):
+    """The evidence computed from the whole profile at once: the reference."""
+    profile = beta_profile(w, horizon)
+    window = math.isqrt(horizon)
+    with np.errstate(over="ignore", under="ignore"):
+        terms = np.exp(-p * profile)
+        partial = float(terms.sum())
+        increment = float(terms[horizon // 10 :].sum())
+    head, tail = profile[:window], profile[horizon - window :]
+    return HorizonEvidence(
+        horizon, window, partial, increment, float(head.max()), float(tail.min()), float(tail.max())
+    )
+
+
+def _bits(ev):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(ev)]
+
+
+_LEAF = dynamics._LEAF
+_near_one = st.builds(cmath.rect, st.floats(0.98, 1.02), st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def _evidence_cases(draw):
+    horizon = draw(
+        st.one_of(
+            st.integers(1, 300),  # one leaf
+            st.integers(_LEAF - 16, 2 * _LEAF + 16),  # around the first split
+            st.integers(2 * _LEAF, 16 * _LEAF),  # many leaves
+        )
+    )
+    family = draw(st.sampled_from(["constant", "explicit", "blocks", "powerlaw"]))
+    if family == "constant":
+        w = Constant(draw(_near_one))
+    elif family == "explicit":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = Explicit(tuple(rng.uniform(0.97, 1.03, horizon + draw(st.integers(0, 3)))))
+    elif family == "blocks":
+        w = BalancedBlocks(draw(_near_one), draw(_near_one), draw(st.booleans()))
+    else:
+        w = PowerLawBeta(draw(st.floats(-2.0, 2.0)))
+    return w, draw(st.floats(1.0, 8.0)), horizon
+
+
+@given(_evidence_cases())
+@example((Constant(0.999 + 0.01j), 3.3, 8 * _LEAF + 5))
+@example((Explicit(tuple(np.random.default_rng(0).uniform(0.97, 1.03, 100_003))), 2.7, 100_003))
+@example((BalancedBlocks(1.01, 0.99, False), 1.0, 16 * _LEAF + 7))
+@example((PowerLawBeta(0.37), 8.0, 99_999))
+@settings(max_examples=60, deadline=None)
+def test_streamed_evidence_equals_the_full_array_form_bit_for_bit(case):
+    w, p, horizon = case
+    assert _bits(horizon_evidence(w, p, horizon)) == _bits(_full_array_evidence(w, p, horizon))
+
+
+def _streamed_sum(a, lo):
+    """a[lo:].sum() leaf by leaf, driven through the tree that horizon_evidence uses."""
+    tree = dynamics._pairwise_tree(lo, len(a))
+    leaf = next(tree)
+    while True:
+        try:
+            leaf = tree.send(float(a[leaf[0] : leaf[1]].sum()))
+        except StopIteration as done:
+            return done.value
+
+
+@pytest.mark.parametrize("n", [129, 1000, 2**17 + 5, 10**6])
+def test_streamed_sum_follows_numpys_pairwise_tree(n):
+    # terms spread over 35 decades, so adding them in any other order changes bits;
+    # a numpy whose np.sum walks another tree fails here before it changes evidence
+    a = np.exp(np.random.default_rng(n).uniform(-40.0, 40.0, n))
+    for lo in (0, n // 10):
+        assert _streamed_sum(a, lo) == float(a[lo:].sum())
+
+
+def test_horizon_evidence_memory_does_not_grow_with_the_horizon():
+    w = BalancedBlocks(2.0, 0.5)
+    horizon_evidence(w, 2.0, 1000)
+    tracemalloc.start()
+    try:
+        horizon_evidence(w, 2.0, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the whole profile alone would take 16 MB
 
 
 # ---------------------------------------------------------------------------

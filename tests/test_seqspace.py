@@ -198,6 +198,13 @@ def test_weight_validation():
         PowerLawBeta(float("nan"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan), complex(math.inf, 1)])
+def test_weights_must_be_finite(bad):
+    for make in (Constant, lambda v: Explicit((1, v, 2)), lambda v: BalancedBlocks(1, v), lambda v: BalancedBlocks(v, 1)):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+
 def test_weight_at_families():
     assert weight_at(Constant(3 - 1j), 17) == 3 - 1j
     w = Explicit((1, 2, 3))
@@ -230,6 +237,9 @@ def test_weight_bound():
     assert weight_bound(BalancedBlocks(0.5, 2)) == 2.0
     assert weight_bound(PowerLawBeta(0.5)) == pytest.approx(math.sqrt(2))
     assert weight_bound(PowerLawBeta(-3.0)) == 1.0
+    huge = complex(1.5e308, 1.5e308)  # finite parts, modulus beyond float range
+    for w in (Constant(huge), Explicit((1, huge)), BalancedBlocks(huge, 1), BalancedBlocks(1, huge)):
+        assert weight_bound(w) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +515,12 @@ def test_vector_json_roundtrip_exact(x):
     d = vector_to_dict(x)
     assert json.loads(json.dumps(d)) == d
     assert vector_from_dict(d) == x
+
+
+@pytest.mark.parametrize("coord", [[math.nan, 0], [0, math.inf], -math.inf, ["nan", 0]])
+def test_vector_from_dict_rejects_non_finite_coordinates(coord):
+    with pytest.raises(ValueError, match="coordinate 2 must be finite"):
+        vector_from_dict({"p": 2, "coords": [[1, 0], coord]})
 
 
 def test_vector_dict_shape():
