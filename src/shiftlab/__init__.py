@@ -9,119 +9,16 @@ The package has three layers:
 * ``dynamics``:   chaotic / mixing / transitive classification through the
                   running weight product, example operators, orbit traces.
 
-``shiftlab.cli`` exposes all of it as a command line tool.
+``shiftlab.cli`` exposes all of it as a command line tool.  The public
+names of each layer are its module's ``__all__``; the package re-exports
+them, and ``__all__`` here is ``__version__`` followed by those three lists.
 """
 
-from .seqspace import (
-    BalancedBlocks,
-    Constant,
-    Explicit,
-    FinSeqVector,
-    PowerLawBeta,
-    RangeError,
-    ShiftOperator,
-    WeightSequence,
-    apply_shift,
-    check_exponent,
-    log_abs_beta,
-    lp_norm,
-    max_coord_diff,
-    random_vectors,
-    scale,
-    subtract,
-    tail_power_sums,
-    vector_from_dict,
-    vector_to_dict,
-    weight_at,
-    weight_bound,
-    weights_from_dict,
-    weights_to_dict,
-)
-from .conjugacy import (
-    ClassMismatchError,
-    ConjugacyMap,
-    DiagStep,
-    GStep,
-    HStep,
-    ResidualReport,
-    build_conjugator,
-    chi,
-    conjugacy_class_decision,
-    conjugacy_residual,
-    diag_similarity,
-    g_map,
-    h_map,
-    map_from_dict,
-    map_to_dict,
-)
-from .dynamics import (
-    Confidence,
-    DynamicsLabel,
-    DynamicsVerdict,
-    HorizonEvidence,
-    OrbitTrace,
-    beta_profile,
-    classify,
-    escape_demo,
-    example3_point,
-    make_example,
-    orbit_norms,
-)
+from . import conjugacy, dynamics, seqspace
+from .seqspace import *
+from .conjugacy import *
+from .dynamics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # seqspace
-    "RangeError",
-    "check_exponent",
-    "FinSeqVector",
-    "Constant",
-    "Explicit",
-    "BalancedBlocks",
-    "PowerLawBeta",
-    "WeightSequence",
-    "ShiftOperator",
-    "weight_at",
-    "weight_bound",
-    "log_abs_beta",
-    "lp_norm",
-    "tail_power_sums",
-    "apply_shift",
-    "scale",
-    "subtract",
-    "max_coord_diff",
-    "random_vectors",
-    "vector_to_dict",
-    "vector_from_dict",
-    "weights_to_dict",
-    "weights_from_dict",
-    # conjugacy
-    "chi",
-    "ClassMismatchError",
-    "HStep",
-    "GStep",
-    "DiagStep",
-    "ConjugacyMap",
-    "h_map",
-    "g_map",
-    "diag_similarity",
-    "build_conjugator",
-    "conjugacy_class_decision",
-    "conjugacy_residual",
-    "ResidualReport",
-    "map_to_dict",
-    "map_from_dict",
-    # dynamics
-    "DynamicsLabel",
-    "Confidence",
-    "HorizonEvidence",
-    "DynamicsVerdict",
-    "OrbitTrace",
-    "beta_profile",
-    "classify",
-    "make_example",
-    "example3_point",
-    "orbit_norms",
-    "escape_demo",
-]
+__all__ = ["__version__", *seqspace.__all__, *conjugacy.__all__, *dynamics.__all__]

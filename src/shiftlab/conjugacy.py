@@ -38,6 +38,8 @@ from .seqspace import (
     FinSeqVector,
     RangeError,
     ShiftOperator,
+    _checked_weight,
+    _modulus_or_inf,
     _pair,
     apply_shift,
     check_exponent,
@@ -63,7 +65,6 @@ __all__ = [
     "conjugacy_residual",
     "ResidualReport",
     "map_to_dict",
-    "map_from_dict",
 ]
 
 
@@ -176,31 +177,14 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
     return FinSeqVector(q, tuple(coords))
 
 
-def _diag_apply(x: FinSeqVector, ratio: complex) -> FinSeqVector:
-    """Multiply coordinate n by ratio**(n-1), by running product."""
-    coords = []
-    factor = 1 + 0j
-    for i, c in enumerate(x.coords):
-        if i:
-            factor *= ratio
-        coords.append(factor * c)
-    return FinSeqVector(x.p, tuple(coords))
-
-
 # ---------------------------------------------------------------------------
 # composable steps
 
 
-@dataclass(frozen=True, slots=True)
-class HStep:
-    """Tail rescaling with exponent s on l^p."""
+class _EndoStep:
+    """A step from l^p onto itself: both exponents are the step's ``p``."""
 
-    p: float
-    s: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.s) or self.s <= 0.0:
-            raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
+    __slots__ = ()
 
     @property
     def domain_p(self) -> float:
@@ -210,11 +194,26 @@ class HStep:
     def codomain_p(self) -> float:
         return self.p
 
+
+@dataclass(frozen=True, slots=True)
+class HStep(_EndoStep):
+    """Tail rescaling with exponent s on l^p."""
+
+    p: float
+    s: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.s) or self.s <= 0.0:
+            raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
+
     def apply(self, x: FinSeqVector) -> FinSeqVector:
         return h_map(x, self.s)
 
     def inverse(self) -> "HStep":
         return HStep(self.p, 1.0 / self.s)
+
+    def to_dict(self) -> dict:
+        return {"kind": "h", "p": self.p, "s": self.s}
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,9 +237,12 @@ class GStep:
     def inverse(self) -> "GStep":
         return GStep(self.q, self.p)
 
+    def to_dict(self) -> dict:
+        return {"kind": "g", "p": self.p, "q": self.q}
+
 
 @dataclass(frozen=True, slots=True)
-class DiagStep:
+class DiagStep(_EndoStep):
     """Diagonal rescaling on l^p: coordinate n is multiplied by ratio**(n-1).
 
     With a unimodular ratio this is an isometric linear homeomorphism; for
@@ -257,21 +259,24 @@ class DiagStep:
             raise ValueError("diagonal ratio must be nonzero")
         object.__setattr__(self, "ratio", r)
 
-    @property
-    def domain_p(self) -> float:
-        return self.p
-
-    @property
-    def codomain_p(self) -> float:
-        return self.p
-
     def apply(self, x: FinSeqVector) -> FinSeqVector:
+        """Multiply coordinate n by ratio**(n-1), by running product."""
         if x.p != self.p:
             raise ValueError(f"step acts on l^{self.p} but vector is in l^{x.p}")
-        return _diag_apply(x, self.ratio)
+        ratio = self.ratio
+        coords = []
+        factor = 1 + 0j
+        for i, c in enumerate(x.coords):
+            if i:
+                factor *= ratio
+            coords.append(factor * c)
+        return FinSeqVector(x.p, tuple(coords))
 
     def inverse(self) -> "DiagStep":
         return DiagStep(self.p, 1 / self.ratio)
+
+    def to_dict(self) -> dict:
+        return {"kind": "diag", "p": self.p, "ratio": _pair(self.ratio)}
 
 
 Step = Union[HStep, GStep, DiagStep]
@@ -304,8 +309,6 @@ class ConjugacyMap:
             raise ValueError(f"map acts on l^{self.domain_p} but vector is in l^{x.p}")
         for st in self.steps:
             x = st.apply(x)
-        if x.p != self.codomain_p:  # zero-step identity with p mismatch cannot happen
-            raise AssertionError("step chain produced wrong codomain exponent")
         return x
 
     def inverse(self) -> "ConjugacyMap":
@@ -323,6 +326,20 @@ class ConjugacyMap:
 # constructors
 
 
+def _shift_modulus(w: complex) -> float:
+    """|w| of a constant shift weight.
+
+    ``ValueError`` unless w is finite and nonzero (the rule every weight
+    follows), ``RangeError`` when its finite parts have a modulus beyond
+    float range.
+    """
+    w = _checked_weight(w)
+    m = _modulus_or_inf(w)
+    if m == math.inf:
+        raise RangeError(f"|{w}| is beyond float range")
+    return m
+
+
 def diag_similarity(lam: complex, omega: complex, p: float = 2.0) -> ConjugacyMap:
     """The diagonal linear conjugacy from lam*B onto omega*B when |lam| == |omega|.
 
@@ -330,11 +347,8 @@ def diag_similarity(lam: complex, omega: complex, p: float = 2.0) -> ConjugacyMa
     to agree to relative 1e-12; for genuinely different moduli use
     ``build_conjugator`` instead.
     """
-    lam = complex(lam)
-    omega = complex(omega)
-    if lam == 0 or omega == 0:
-        raise ValueError("shift weights must be nonzero")
-    ml, mo = abs(lam), abs(omega)
+    lam, omega = complex(lam), complex(omega)
+    ml, mo = _shift_modulus(lam), _shift_modulus(omega)
     if abs(ml - mo) > 1e-12 * max(ml, mo):
         raise ValueError(
             f"diagonal similarity needs |lam| == |omega|; got {ml!r} vs {mo!r}"
@@ -346,15 +360,12 @@ def conjugacy_class_decision(lam: complex, p: float, omega: complex, q: float) -
     """Whether lam*B on l^p and omega*B on l^q are topologically conjugate.
 
     True exactly when chi(|lam|) == chi(|omega|); the exponents never
-    affect the answer but are validated.
+    affect the answer but are validated.  A zero or non-finite weight
+    raises ``ValueError`` and a modulus beyond float range ``RangeError``.
     """
     check_exponent(p)
     check_exponent(q)
-    lam = complex(lam)
-    omega = complex(omega)
-    if lam == 0 or omega == 0:
-        raise ValueError("shift weights must be nonzero")
-    return chi(abs(lam)) == chi(abs(omega))
+    return chi(_shift_modulus(lam)) == chi(_shift_modulus(omega))
 
 
 def build_conjugator(lam: complex, p: float, omega: complex, q: float) -> ConjugacyMap:
@@ -452,28 +463,5 @@ def conjugacy_residual(
 
 
 def map_to_dict(phi: ConjugacyMap) -> dict:
-    steps = []
-    for st in phi.steps:
-        if isinstance(st, HStep):
-            steps.append({"kind": "h", "p": st.p, "s": st.s})
-        elif isinstance(st, GStep):
-            steps.append({"kind": "g", "p": st.p, "q": st.q})
-        else:
-            steps.append({"kind": "diag", "p": st.p, "ratio": _pair(st.ratio)})
-    return {"domain_p": phi.domain_p, "codomain_p": phi.codomain_p, "steps": steps}
-
-
-def map_from_dict(d: dict) -> ConjugacyMap:
-    steps: list[Step] = []
-    for sd in d["steps"]:
-        kind = sd.get("kind")
-        if kind == "h":
-            steps.append(HStep(float(sd["p"]), float(sd["s"])))
-        elif kind == "g":
-            steps.append(GStep(float(sd["p"]), float(sd["q"])))
-        elif kind == "diag":
-            ratio = sd["ratio"]
-            steps.append(DiagStep(float(sd["p"]), complex(ratio[0], ratio[1])))
-        else:
-            raise ValueError(f"unknown step kind: {kind!r}")
-    return ConjugacyMap(tuple(steps), float(d["domain_p"]), float(d["codomain_p"]))
+    """JSON-ready form: the two exponents and each step's ``to_dict``."""
+    return {"domain_p": phi.domain_p, "codomain_p": phi.codomain_p, "steps": [st.to_dict() for st in phi.steps]}

@@ -50,7 +50,6 @@ from .seqspace import (
     WeightSequence,
     _norm_from_moduli,
     check_exponent,
-    weight_bound,
     weights_to_dict,
 )
 
@@ -306,7 +305,7 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     check_exponent(p)
     if horizon < MIN_HORIZON:
         raise ValueError(f"horizon must be >= {MIN_HORIZON}, got {horizon}")
-    if not math.isfinite(weight_bound(w)):
+    if not math.isfinite(w.bound()):
         raise ValueError("weight sequence is unbounded")
 
     analytic = w.analytic_label(p)

@@ -29,8 +29,7 @@ index range lo < n <= hi (0 <= lo <= hi):
 
 Everything else (``weight_at``, ``log_abs_beta``, ``apply_shift``, the
 ``dynamics`` profiles, labels and orbits) goes through these methods, so a
-new family is one new class, plus its ``kind`` in ``weights_from_dict`` and
-its descriptor in the CLI.
+new family is one new class, plus its descriptor in the CLI.
 
 ``BalancedBlocks`` tiles the index line with pairs of equal-length blocks:
 pair k occupies positions k(k-1)+1 .. k(k+1), the first k of them carrying
@@ -63,7 +62,6 @@ __all__ = [
     "WeightSequence",
     "ShiftOperator",
     "weight_at",
-    "weight_bound",
     "log_abs_beta",
     "lp_norm",
     "tail_power_sums",
@@ -75,7 +73,6 @@ __all__ = [
     "vector_to_dict",
     "vector_from_dict",
     "weights_to_dict",
-    "weights_from_dict",
 ]
 
 
@@ -355,7 +352,10 @@ class BalancedBlocks:
         shared = k * (k - 1) // 2 + np.maximum(t, 0)
         excess = np.subtract(k, np.abs(t), out=k)  # first-block positions beyond the shared ones
         la = math.log(abs(self.first))
-        return shared * math.log(abs(self.first) * abs(self.second)) + excess * la
+        m = abs(self.first) * abs(self.second)
+        # a product that left float range is taken apart into a sum of logs
+        lm = math.log(m) if 0.0 < m < math.inf else la + math.log(abs(self.second))
+        return shared * lm + excess * la
 
     def bound(self) -> float:
         return max(_modulus_or_inf(self.a), _modulus_or_inf(self.b))
@@ -399,7 +399,8 @@ class PowerLawBeta:
         return np.array(ws, dtype=np.complex128)
 
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
-        return self.alpha * np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        with np.errstate(over="ignore"):  # |alpha| * log(n) beyond float range saturates to +-inf
+            return self.alpha * np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
 
     def bound(self) -> float:
         # w_n = (n/(n-1))**alpha is largest at n = 2 for alpha > 0 and
@@ -428,11 +429,6 @@ def weight_at(w: WeightSequence, n: int) -> complex:
     if n < 1:
         raise ValueError(f"weight index must be >= 1, got {n}")
     return complex(w.weight_range(n - 1, n)[0])
-
-
-def weight_bound(w: WeightSequence) -> float:
-    """An upper bound for sup_n |w_n|, or inf when it exceeds float range."""
-    return w.bound()
 
 
 def log_abs_beta(w: WeightSequence, n: int) -> float:
@@ -538,16 +534,3 @@ def vector_from_dict(d: dict) -> FinSeqVector:
 def weights_to_dict(w: WeightSequence) -> dict:
     """JSON-ready tagged form, ``kind`` one of constant/explicit/blocks/powerlaw."""
     return w.to_dict()
-
-
-def weights_from_dict(d: dict) -> WeightSequence:
-    kind = d.get("kind")
-    if kind == "constant":
-        return Constant(_unpair(d["value"]))
-    if kind == "explicit":
-        return Explicit(tuple(_unpair(v) for v in d["weights"]))
-    if kind == "blocks":
-        return BalancedBlocks(_unpair(d["a"]), _unpair(d["b"]), bool(d.get("a_first", True)))
-    if kind == "powerlaw":
-        return PowerLawBeta(float(d["alpha"]))
-    raise ValueError(f"unknown weight kind: {kind!r}")

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -45,12 +46,18 @@ def _load() -> dict:
 
 
 def _run(argv: list[str]) -> dict:
-    """Run ``main(argv)`` from the corpus directory and capture what it shows."""
+    """Run ``main(argv)`` from the corpus directory and capture what it shows.
+
+    A ``RuntimeWarning`` (a raw numpy overflow or invalid-value report)
+    is raised as an error: the corpus is deterministic, so a command that
+    prints one shows it on every run and must be fixed, not recorded.
+    """
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(list(argv))
     finally:
         os.chdir(cwd)

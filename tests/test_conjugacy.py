@@ -1,6 +1,7 @@
 """The conjugating homeomorphisms: identities, inverses, assembled chains."""
 
 import cmath
+import json
 import math
 
 import pytest
@@ -26,7 +27,6 @@ from shiftlab import (
     g_map,
     h_map,
     lp_norm,
-    map_from_dict,
     map_to_dict,
     max_coord_diff,
     random_vectors,
@@ -272,7 +272,17 @@ def test_composite_inverse_roundtrip():
 
 def test_map_dict_roundtrip():
     phi = ConjugacyMap((DiagStep(1.0, -1 + 0j), HStep(1.0, 6.0), GStep(1.0, 3.0)), 1.0, 3.0)
-    assert map_from_dict(map_to_dict(phi)) == phi
+    d = map_to_dict(phi)
+    assert d == {
+        "domain_p": 1.0,
+        "codomain_p": 3.0,
+        "steps": [
+            {"kind": "diag", "p": 1.0, "ratio": [-1.0, 0.0]},
+            {"kind": "h", "p": 1.0, "s": 6.0},
+            {"kind": "g", "p": 1.0, "q": 3.0},
+        ],
+    }
+    assert json.loads(json.dumps(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +426,19 @@ def test_conjugacy_class_decision_validates():
         conjugacy_class_decision(0, 2.0, 2, 2.0)
     with pytest.raises(ValueError):
         conjugacy_class_decision(2, 0.0, 2, 2.0)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [lambda w: conjugacy_class_decision(w, 2.0, 2, 2.0), lambda w: diag_similarity(1, w)],
+    ids=["class_decision", "diag_similarity"],
+)
+def test_shift_weights_are_checked_in_one_place(use):
+    with pytest.raises(RangeError, match="beyond float range"):
+        use(complex(1.5e308, 1.5e308))  # finite parts, modulus beyond float range
+    for bad in (0, math.inf, complex(1, math.nan)):
+        with pytest.raises(ValueError, match="weights must be (nonzero|finite)"):
+            use(bad)
 
 
 @given(

@@ -29,8 +29,6 @@ from shiftlab import (
     vector_from_dict,
     vector_to_dict,
     weight_at,
-    weight_bound,
-    weights_from_dict,
     weights_to_dict,
 )
 
@@ -232,14 +230,14 @@ def test_blocks_first_second_roles():
 
 
 def test_weight_bound():
-    assert weight_bound(Constant(-4)) == 4.0
-    assert weight_bound(Explicit((1, 3j, -2))) == 3.0
-    assert weight_bound(BalancedBlocks(0.5, 2)) == 2.0
-    assert weight_bound(PowerLawBeta(0.5)) == pytest.approx(math.sqrt(2))
-    assert weight_bound(PowerLawBeta(-3.0)) == 1.0
+    assert Constant(-4).bound() == 4.0
+    assert Explicit((1, 3j, -2)).bound() == 3.0
+    assert BalancedBlocks(0.5, 2).bound() == 2.0
+    assert PowerLawBeta(0.5).bound() == pytest.approx(math.sqrt(2))
+    assert PowerLawBeta(-3.0).bound() == 1.0
     huge = complex(1.5e308, 1.5e308)  # finite parts, modulus beyond float range
     for w in (Constant(huge), Explicit((1, huge)), BalancedBlocks(huge, 1), BalancedBlocks(1, huge)):
-        assert weight_bound(w) == math.inf
+        assert w.bound() == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +538,19 @@ def test_vector_dict_shape():
 def test_weights_json_roundtrip(w):
     d = weights_to_dict(w)
     assert json.loads(json.dumps(d)) == d
-    assert weights_from_dict(d) == w
     assert d["kind"] in ("constant", "explicit", "blocks", "powerlaw")
 
 
-def test_weights_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        weights_from_dict({"kind": "mystery"})
+# ---------------------------------------------------------------------------
+# package
+
+
+def test_package_exports_each_module_list_once():
+    import shiftlab
+    from shiftlab import conjugacy, dynamics, seqspace
+
+    expected = ["__version__", *seqspace.__all__, *conjugacy.__all__, *dynamics.__all__]
+    assert shiftlab.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for name in expected:
+        assert hasattr(shiftlab, name), name
