@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .conjugacy import (
@@ -187,8 +190,43 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_NUMBERS = {int, float}  # exact types: a bool is not a number here
+
+
+def _dumps(obj: object, indent: str = "\n") -> str:
+    """What ``json.dumps`` writes with sorted keys and a 2-space indent, byte for byte.
+
+    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
+    set.  Here dicts, whose keys must be str, are walked in Python, but every scalar, and every list
+    of numbers or of nonempty number lists (``coords``, ``weights``), is
+    encoded compactly by the C encoder in one call and then re-indented with
+    ``str.replace``: a number's text holds no comma or bracket.  ``indent``
+    is the newline and indentation that precede this value's closing bracket.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(key) + ": " + _dumps(value, inner) for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _compact(obj)
+    if not obj:
+        return "[]"
+    types = set(map(type, obj))
+    if types <= _NUMBERS:
+        return "[" + inner + _compact(obj)[1:-1].replace(",", "," + inner) + indent + "]"
+    if types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _NUMBERS:
+        deeper = inner + "  "
+        body = _compact(obj)[2:-2].replace(",", "," + deeper)
+        body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+        return "[" + inner + "[" + deeper + body + inner + "]" + indent + "]"
+    return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _emit(_dumps(payload) + "\n", out)
 
 
 def _emit_csv(rows: list[tuple[str, str]], out: str | None) -> None:
@@ -222,6 +260,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjugate_check(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     lam, p = _parse_constant_shift(args.f)
     omega, q = _parse_constant_shift(args.g)
     config = {
@@ -335,7 +375,7 @@ def _build_parser() -> _Parser:
     k = subs.add_parser("conjugate-check", help="build and certify a conjugator between constant shifts")
     k.add_argument("--f", required=True, help="source shift, <re[,im]>:<p>")
     k.add_argument("--g", required=True, help="target shift, <re[,im]>:<p>")
-    k.add_argument("--tol", type=float, default=DEFAULT_TOL, help="max residual to pass")
+    k.add_argument("--tol", type=float, default=DEFAULT_TOL, help="max residual to pass, finite and >= 0")
     k.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="number of sample vectors")
     _add_common(k)
     k.set_defaults(func=_cmd_conjugate_check)

@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Union
 
 import numpy as np
@@ -107,7 +109,7 @@ class FinSeqVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_exponent(self.p))
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
 
     @property
     def support_length(self) -> int:
@@ -192,20 +194,22 @@ def scale(x: FinSeqVector, c: complex) -> FinSeqVector:
     return FinSeqVector(x.p, tuple(c * v for v in x.coords))
 
 
+def _padded(x: FinSeqVector, y: FinSeqVector) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The coordinate tuples of x and y, the shorter padded with 0j to equal length."""
+    n = max(len(x.coords), len(y.coords))
+    return x.coords + (0j,) * (n - len(x.coords)), y.coords + (0j,) * (n - len(y.coords))
+
+
 def subtract(x: FinSeqVector, y: FinSeqVector) -> FinSeqVector:
     """x - y, padding the shorter coordinate tuple with zeros."""
     if x.p != y.p:
         raise ValueError(f"exponent mismatch: {x.p} vs {y.p}")
-    n = max(len(x.coords), len(y.coords))
-    return FinSeqVector(x.p, tuple(x.coord(i) - y.coord(i) for i in range(1, n + 1)))
+    return FinSeqVector(x.p, tuple(map(operator.sub, *_padded(x, y))))
 
 
 def max_coord_diff(x: FinSeqVector, y: FinSeqVector) -> float:
     """max_n |x_n - y_n|, padding the shorter vector with zeros."""
-    n = max(len(x.coords), len(y.coords))
-    if n == 0:
-        return 0.0
-    return max(abs(x.coord(i) - y.coord(i)) for i in range(1, n + 1))
+    return max(map(abs, map(operator.sub, *_padded(x, y))), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +500,8 @@ def random_vectors(
     out = []
     for _ in range(count):
         n = int(rng.integers(lo, hi + 1))
-        parts = rng.uniform(-box, box, size=(n, 2))
-        out.append(FinSeqVector(p, tuple(complex(re, im) for re, im in parts)))
+        parts = rng.uniform(-box, box, size=(n, 2)).tolist()
+        out.append(FinSeqVector(p, tuple(starmap(complex, parts))))
     return out
 
 
@@ -510,6 +514,10 @@ def _pair(z: complex) -> list[float]:
 
 
 def _unpair(v: object) -> complex:
+    if type(v) is list and len(v) == 2:
+        re, im = v
+        if type(re) is float and type(im) is float:  # what vector_to_dict writes
+            return complex(re, im)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
     if isinstance(v, (int, float)):
@@ -519,15 +527,16 @@ def _unpair(v: object) -> complex:
 
 def vector_to_dict(x: FinSeqVector) -> dict:
     """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``."""
-    return {"p": x.p, "coords": [_pair(c) for c in x.coords]}
+    return {"p": x.p, "coords": [[c.real, c.imag] for c in x.coords]}
 
 
 def vector_from_dict(d: dict) -> FinSeqVector:
     """The vector of a ``vector_to_dict`` form; ``ValueError`` for a non-finite coordinate."""
-    x = FinSeqVector(float(d["p"]), tuple(_unpair(c) for c in d["coords"]))
-    for n, c in enumerate(x.coords, 1):
-        if not cmath.isfinite(c):
-            raise ValueError(f"coordinate {n} must be finite, got {c!r}")
+    x = FinSeqVector(float(d["p"]), tuple(map(_unpair, d["coords"])))
+    finite = list(map(cmath.isfinite, x.coords))
+    if not all(finite):
+        n = finite.index(False)
+        raise ValueError(f"coordinate {n + 1} must be finite, got {x.coords[n]!r}")
     return x
 
 

@@ -2,10 +2,13 @@
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftlab.cli import main
+from shiftlab.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -108,6 +111,14 @@ def test_conjugate_check_over_tolerance_exits_2(capsys):
     code, doc = run_json(capsys, "conjugate-check", "--f", "2:1", "--g", "4:3", "--tol", "1e-16")
     assert code == 2
     assert doc["result"]["passed"] is False
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_conjugate_check_rejects_tolerance_outside_domain(capsys, tol):
+    code, out, err = run(capsys, "conjugate-check", "--f", "2:1", "--g", "4:3", f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tol must be finite and >= 0")
 
 
 def test_conjugate_check_complex_weight(capsys):
@@ -344,6 +355,44 @@ def test_json_keys_are_sorted(capsys):
     doc = json.loads(out)
     assert list(doc.keys()) == sorted(doc.keys())
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_NUMBERS = (
+    st.integers()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308, -1e308])
+)
+# text that often holds JSON punctuation, escapes, control and non-ASCII characters
+_TEXT = st.text(st.characters() | st.sampled_from(',[]{}:"\\\n\x00\x1f\u00e9\u4e2d\U0001f600'))
+_LISTS = (
+    st.lists(_NUMBERS)  # flat numeric, including empty
+    | st.lists(_NUMBERS | st.booleans() | st.none())  # bools and None among numbers
+    | st.lists(_NUMBERS | _TEXT)  # strings among numbers
+    | st.lists(st.lists(_NUMBERS, min_size=2, max_size=2))  # pairs, like coords
+    | st.lists(st.lists(_NUMBERS, max_size=3))  # ragged, some inner lists empty
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _TEXT | _LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150)
+@given(_JSON)
+def test_dumps_is_byte_identical_to_indented_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dumps_matches_json_dumps_on_full_size_vectors():
+    rng = random.Random(9)
+    coords = [[rng.uniform(-10, 10), rng.uniform(-10, 10)] for _ in range(4096)]
+    weights = [[rng.uniform(-2, 2), 0.0] for _ in range(10_000)]
+    transport = {"result": {"image": {"coords": coords, "p": 2.0}, "roundtrip_max_deviation": 1e-15}}
+    explicit = {"config": {"weights": {"kind": "explicit", "weights": weights}, "horizon": 10_000}}
+    for payload in (transport, explicit):
+        assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_out_file_writing(capsys, tmp_path):
