@@ -181,76 +181,98 @@ def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
 
 
 # Ranges of at most this many terms are leaves of the streamed pairwise sums:
-# each is summed by one np.sum call over a buffer of at most twice this size.
+# each is summed by one np.sum call.  The terms are computed in chunks of this
+# many, so the rolling buffer of terms in flight holds twice this size.
 _LEAF = 1 << 13
 
+# In a tree walk, the marker that says: add the two sums on top of the stack.
+_ADD = None
 
-def _pairwise_tree(lo: int, hi: int):
+
+def _pairwise_walk(lo: int, hi: int):
     """The order in which ``np.sum`` adds the float64 terms lo..hi-1.
 
-    A generator: it yields the leaf ranges (lo, hi) in rising order, is sent
-    each leaf's ``np.sum`` back, and returns the leaves added up along the
-    tree of numpy's ``pairwise_sum`` for one contiguous array, where a range
-    of more than 128 terms splits after n//2 terms rounded down to a
-    multiple of 8.  A leaf is a node of that tree, which ``np.sum`` of the
-    leaf alone walks the same way, so the total has the bits of ``np.sum``
-    over the whole range.
+    Yields the tree of numpy's ``pairwise_sum`` for one contiguous array in
+    post-order, from an explicit stack: leaf ranges (lo, hi) in rising
+    order, and ``_ADD`` where the sums of a node's two halves are added,
+    left + right.  A range of more than 128 terms splits after n//2 terms
+    rounded down to a multiple of 8.  A leaf is a node of that tree, which
+    ``np.sum`` of the leaf alone walks the same way, so summing each leaf
+    with ``np.sum`` and adding at each marker gives the bits of ``np.sum``
+    over the whole range.  The stack holds O(log((hi - lo) / _LEAF)) items.
     """
-    n = hi - lo
-    if n <= _LEAF:
-        return (yield lo, hi)
-    half = n // 2 - n // 2 % 8
-    left = yield from _pairwise_tree(lo, lo + half)
-    right = yield from _pairwise_tree(lo + half, hi)
-    return left + right
+    stack = [(lo, hi)]
+    while stack:
+        node = stack.pop()
+        if node is not _ADD and node[1] - node[0] > _LEAF:
+            lo, hi = node
+            n = hi - lo
+            half = n // 2 - n // 2 % 8
+            stack += (_ADD, (lo + half, hi), (lo, lo + half))
+        else:
+            yield node
 
 
 def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ...]) -> list[float]:
     """``np.sum(exp(-p * profile)[s:])`` for each s in ``starts``, streamed.
 
-    The trees of the sums ask for their leaves in one rising sweep.  A
-    rolling buffer holds the terms of the leaves in flight, so each term is
-    computed once, from one ``log_abs_profile`` chunk, and no array longer
-    than 2 * _LEAF is built.
+    The walks of the sums ask for their leaves in one rising sweep.  A
+    rolling buffer of 2 * _LEAF terms holds those from the lowest leaf in
+    flight on.  When a leaf runs past its end, the next _LEAF terms are
+    computed into it from one ``log_abs_profile`` chunk, so each term is
+    computed once and the sweep makes about horizon / _LEAF profile calls.
+    The sums of the leaves a walk has finished wait on a stack of their own
+    until its ``_ADD`` markers add them, left + right.
     """
-    trees = [_pairwise_tree(s, horizon) for s in starts]
-    asks = [next(t) for t in trees]
-    sums = [0.0] * len(trees)
-    buf, buf_lo = np.empty(0), 0  # the terms buf_lo .. buf_lo + len(buf) - 1
-    while any(asks):
-        i = min((ask[0], i) for i, ask in enumerate(asks) if ask)[1]
-        lo, hi = asks[i]
-        buf_hi = buf_lo + len(buf)
-        if hi > buf_hi:
-            profile = w.log_abs_profile(max(lo, buf_hi), hi)
-            with np.errstate(over="ignore", under="ignore"):
-                buf = np.concatenate((buf[lo - buf_lo :], np.exp(-p * profile)))
-            buf_lo = lo
-        with np.errstate(over="ignore", under="ignore"):
-            leaf = float(buf[lo - buf_lo : hi - buf_lo].sum())
-        try:
-            asks[i] = trees[i].send(leaf)
-        except StopIteration as done:
-            asks[i], sums[i] = None, done.value
-    return sums
+    walks = [_pairwise_walk(s, horizon) for s in starts]
+    stacks: list[list[float]] = [[] for _ in starts]
+    asks = [next(walk) for walk in walks]  # a walk starts with a leaf
+    buf = np.empty(min(2 * _LEAF, horizon))
+    buf_lo, size = 0, 0  # buf[:size] holds the terms buf_lo .. buf_lo + size - 1
+    with np.errstate(over="ignore", under="ignore"):
+        while any(asks):
+            i = min((ask[0], i) for i, ask in enumerate(asks) if ask)[1]
+            lo, hi = asks[i]
+            if hi > buf_lo + size:
+                start = max(lo, buf_lo + size)
+                keep = start - lo
+                buf[:keep] = buf[lo - buf_lo : size]
+                profile = w.log_abs_profile(start, min(max(hi, start + _LEAF), horizon))
+                buf_lo, size = lo, keep + len(profile)
+                terms = buf[keep:size]
+                np.multiply(profile, -p, out=terms)
+                np.exp(terms, out=terms)
+            sums = stacks[i]
+            sums.append(float(buf[lo - buf_lo : hi - buf_lo].sum()))
+            for node in walks[i]:
+                if node is not _ADD:
+                    asks[i] = node
+                    break
+                right = sums.pop()
+                sums[-1] += right
+            else:
+                asks[i] = None
+    return [sums[0] for sums in stacks]
 
 
 def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEvidence:
     """Compute the scalar diagnostics of the profile of ``w`` up to ``horizon``.
 
     The profile is never built whole.  The two sums of exp(-p * profile)
-    stream it in chunks of at most _LEAF terms, and the head and tail
-    windows are isqrt(horizon) long, so memory is O(_LEAF + isqrt(horizon))
-    where the full profile took O(horizon).  The bits are those of the
-    full-array computation: each chunk of ``log_abs_profile`` has the bits
-    of the same slice of ``beta_profile``, the terms are elementwise, and
-    both sums add their terms along the tree ``np.sum`` walks over the
-    whole array.
+    share one sweep over it in chunks of _LEAF terms, under one
+    ``np.errstate``, and each adds its leaves along a flat post-order walk
+    of the tree ``np.sum`` follows.  The head and tail windows are
+    isqrt(horizon) long and built one at a time, so memory is
+    O(_LEAF + isqrt(horizon)) where the full profile took O(horizon).  The
+    bits are those of the full-array computation: each chunk of
+    ``log_abs_profile`` has the bits of the same slice of ``beta_profile``,
+    the terms are elementwise, and both sums add their terms along the tree
+    ``np.sum`` walks over the whole array.
     """
     if horizon < 1:
         raise ValueError(f"profile length must be >= 1, got {horizon}")
     window = math.isqrt(horizon)
-    head = w.log_abs_profile(0, window)
+    head_log_max = float(w.log_abs_profile(0, window).max())
     partial, increment = _chaos_sums(w, p, horizon, (0, horizon // 10))
     tail = w.log_abs_profile(horizon - window, horizon)
     return HorizonEvidence(
@@ -258,7 +280,7 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
         window=window,
         partial_sum=partial,
         last_decade_increment=increment,
-        head_log_max=float(head.max()),
+        head_log_max=head_log_max,
         tail_log_min=float(tail.min()),
         tail_log_max=float(tail.max()),
     )

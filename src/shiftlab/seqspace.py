@@ -84,7 +84,10 @@ class RangeError(ValueError):
 
 def check_exponent(p: float) -> float:
     """``p`` as a float, or ``ValueError`` unless 1 <= p < inf."""
-    p = float(p)
+    try:
+        p = float(p)
+    except OverflowError:
+        raise ValueError("exponent must satisfy 1 <= p < inf, got an integer beyond float range") from None
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     return p
@@ -303,19 +306,35 @@ class Explicit:
         return {"kind": "explicit", "weights": [_pair(v) for v in self.weights]}
 
 
-def _block_offsets(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair k holding each position n = lo+1..hi, and its offset t = n - k*k.
+def _block_runs(lo: int, hi: int) -> list[tuple[int, int, bool, int, int]]:
+    """The positions n = lo+1..hi cut into runs that lie in one block each.
 
-    Pair k occupies k(k-1)+1 .. k(k+1), so -k < t <= k, and n lies in the
-    first block of its pair exactly when t <= 0.
+    Pair k occupies k(k-1)+1 .. k(k+1): its first block k(k-1)+1 .. k*k and
+    its second block k*k+1 .. k(k+1).  A run ``(start, stop, second, shared,
+    excess)`` covers positions lo+start+1 .. lo+stop of a first or
+    ``second`` block.  Up to its first position, ``shared`` second-block
+    positions are matched by as many first-block ones, and ``excess``
+    first-block positions are left over.  Along a first-block run the
+    excess count rises by one per position; along a second-block run the
+    shared count rises and the excess count falls.
     """
-    n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    k0 = max(math.isqrt(lo), 1)  # pair k0 - 1 ends at (k0 - 1) * k0 <= lo
-    ends = np.arange(k0, math.isqrt(hi) + 2, dtype=np.int64)
-    ends *= ends + 1  # pair k ends at k(k+1); pair isqrt(hi) + 1 ends past hi
-    k = np.searchsorted(ends, n) + k0
-    n -= k * k  # in place: n becomes the offset t
-    return k, n
+    k = max(math.isqrt(lo), 1)
+    if k * (k + 1) <= lo:  # lo lies between k*k and (k+1)*(k+1): pair k ends before lo+1
+        k += 1
+    runs = []
+    n = lo
+    while n < hi:
+        c = k * (k - 1) // 2  # the pairs before pair k have c positions in each block
+        if n < k * k:
+            stop, j = min(k * k, hi), n - k * (k - 1)  # n+1 is the (j+1)-th of its block
+            runs.append((n - lo, stop - lo, False, c, j + 1))
+        else:
+            stop, j = min(k * (k + 1), hi), n - k * k
+            runs.append((n - lo, stop - lo, True, c + j + 1, k - j - 1))
+        n = stop
+        if n == k * (k + 1):
+            k += 1
+    return runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,22 +363,49 @@ class BalancedBlocks:
         return self.b if self.a_first else self.a
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
-        _, t = _block_offsets(lo, hi)
-        return np.where(t <= 0, self.first, self.second)
+        out = np.empty(hi - lo, dtype=np.complex128)
+        for start, stop, second, _, _ in _block_runs(lo, hi):
+            out[start:stop] = self.second if second else self.first
+        return out
 
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
-        # Up to any n there are never more second-block positions than
-        # first-block ones.  That shared count multiplies log|first * second|
-        # as an integer, so with |first * second| == 1 the value at every pair
-        # boundary is exactly 0.0 rather than a sum of opposing rounding errors.
-        k, t = _block_offsets(lo, hi)
-        shared = k * (k - 1) // 2 + np.maximum(t, 0)
-        excess = np.subtract(k, np.abs(t), out=k)  # first-block positions beyond the shared ones
+        """log |beta(n)| for lo < n <= hi: shared * log|first * second| + excess * log|first|.
+
+        Up to any n there are never more second-block positions than
+        first-block ones.  That shared count multiplies log|first * second|
+        as an integer, so with |first * second| == 1 the value at every pair
+        boundary is exactly 0.0 rather than a sum of opposing rounding
+        errors.  Within a block run both counts step by one, so each run is
+        one addition over slices of two tables built per call, count * log
+        for the counts it spans.  The counts are exact in float64 below
+        2**53, so every entry has the bits of the same two products and one
+        sum formed position by position.
+        """
         la = math.log(abs(self.first))
         m = abs(self.first) * abs(self.second)
         # a product that left float range is taken apart into a sum of logs
         lm = math.log(m) if 0.0 < m < math.inf else la + math.log(abs(self.second))
-        return shared * lm + excess * la
+        runs = _block_runs(lo, hi)
+        # the excess counts of each run, lowest and highest
+        spans = [
+            (e + 1 - (stop - start), e) if second else (e, e + stop - start - 1) for start, stop, second, _, e in runs
+        ]
+        e0 = min((low for low, _ in spans), default=0)
+        excess = np.arange(e0, max((high for _, high in spans), default=0) + 1, dtype=np.float64)
+        excess *= la
+        # the shared counts rise through the second-block runs, each carrying on from the last
+        s0 = next((s for _, _, second, s, _ in runs if second), 0)
+        shared = np.arange(s0, s0 + sum(stop - start for start, stop, second, _, _ in runs if second), dtype=np.float64)
+        shared *= lm
+        out = np.empty(hi - lo)
+        for start, stop, second, s, e in runs:
+            size = stop - start
+            if second:
+                falling = excess[e + 1 - size - e0 : e + 1 - e0][::-1]
+                np.add(shared[s - s0 : s - s0 + size], falling, out=out[start:stop])
+            else:
+                np.add(excess[e - e0 : e - e0 + size], s * lm, out=out[start:stop])
+        return out
 
     def bound(self) -> float:
         return max(_modulus_or_inf(self.a), _modulus_or_inf(self.b))
@@ -531,8 +577,21 @@ def vector_to_dict(x: FinSeqVector) -> dict:
 
 
 def vector_from_dict(d: dict) -> FinSeqVector:
-    """The vector of a ``vector_to_dict`` form; ``ValueError`` for a non-finite coordinate."""
-    x = FinSeqVector(float(d["p"]), tuple(map(_unpair, d["coords"])))
+    """The vector of a ``vector_to_dict`` form.
+
+    ``ValueError`` for a coordinate that is not finite or is an integer
+    beyond float range, and for an exponent outside 1 <= p < inf.
+    """
+    coords = d["coords"]
+    try:
+        x = FinSeqVector(d["p"], tuple(map(_unpair, coords)))
+    except OverflowError:  # float() of an integer beyond float range
+        for n, v in enumerate(coords, 1):
+            try:
+                _unpair(v)
+            except OverflowError:
+                raise ValueError(f"coordinate {n} is an integer beyond float range") from None
+        raise
     finite = list(map(cmath.isfinite, x.coords))
     if not all(finite):
         n = finite.index(False)

@@ -309,6 +309,28 @@ def test_apply_map_g_overflow_is_a_range_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+_BEYOND_FLOAT = int("9" * 400)  # a JSON integer that float() cannot take
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"p": 2, "coords": [[1, 0], [_BEYOND_FLOAT, 0]]}, "coordinate 2 is an integer beyond float range"),
+        ({"p": 2, "coords": [[1, 0], [0, -_BEYOND_FLOAT]]}, "coordinate 2 is an integer beyond float range"),
+        ({"p": 2, "coords": [_BEYOND_FLOAT]}, "coordinate 1 is an integer beyond float range"),
+        ({"p": _BEYOND_FLOAT, "coords": [[1, 0]]}, "got an integer beyond float range"),
+    ],
+)
+def test_apply_map_integer_beyond_float_range_is_an_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "apply-map", "--h", "s=2", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_apply_map_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "apply-map", "--h", "s=2", "--in", str(tmp_path / "nope.json"))
     assert code == 1

@@ -275,14 +275,16 @@ def test_streamed_evidence_equals_the_full_array_form_bit_for_bit(case):
 
 
 def _streamed_sum(a, lo):
-    """a[lo:].sum() leaf by leaf, driven through the tree that horizon_evidence uses."""
-    tree = dynamics._pairwise_tree(lo, len(a))
-    leaf = next(tree)
-    while True:
-        try:
-            leaf = tree.send(float(a[leaf[0] : leaf[1]].sum()))
-        except StopIteration as done:
-            return done.value
+    """a[lo:].sum() leaf by leaf, driven through the tree walk that horizon_evidence uses."""
+    sums = []
+    for node in dynamics._pairwise_walk(lo, len(a)):
+        if node is dynamics._ADD:
+            right = sums.pop()
+            sums[-1] += right
+        else:
+            sums.append(float(a[node[0] : node[1]].sum()))
+    [total] = sums
+    return total
 
 
 @pytest.mark.parametrize("n", [129, 1000, 2**17 + 5, 10**6])
@@ -294,16 +296,27 @@ def test_streamed_sum_follows_numpys_pairwise_tree(n):
         assert _streamed_sum(a, lo) == float(a[lo:].sum())
 
 
+def _evidence_peak(w, horizon):
+    tracemalloc.start()
+    try:
+        horizon_evidence(w, 2.0, horizon)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_horizon_evidence_memory_does_not_grow_with_the_horizon():
     w = BalancedBlocks(2.0, 0.5)
     horizon_evidence(w, 2.0, 1000)
-    tracemalloc.start()
-    try:
-        horizon_evidence(w, 2.0, 2_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # the whole profile alone would take 16 MB
+    assert _evidence_peak(w, 2_000_000) < 4 * 2**20  # the whole profile alone would take 16 MB
+
+
+def test_horizon_evidence_peak_grows_only_by_the_window():
+    # 64x the horizon adds 3,500 entries to each window and nothing to the
+    # streamed sums, whose buffers are sized by _LEAF alone
+    w = BalancedBlocks(2.0, 0.5)
+    horizon_evidence(w, 2.0, 1000)
+    assert _evidence_peak(w, 16_000_000) <= _evidence_peak(w, 250_000) + 64 * 2**10
 
 
 # ---------------------------------------------------------------------------

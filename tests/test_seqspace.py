@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -31,6 +31,7 @@ from shiftlab import (
     weight_at,
     weights_to_dict,
 )
+from shiftlab import dynamics
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -323,6 +324,72 @@ def test_protocol_ranges_match_per_index_and_whole_profile_bit_for_bit(case):
     prof = w.log_abs_profile(lo, hi)
     assert prof.dtype == np.float64
     assert prof.tobytes() == beta_profile(w, hi)[lo:].tobytes() == _beta_profile_reference(w, hi)[lo:].tobytes()
+
+
+def _blocks_reference(w, lo, hi):
+    """weight_range and log_abs_profile of blocks over lo < n <= hi, position by position.
+
+    Each position finds its pair k with a search over the pair ends and its
+    offset t = n - k*k, and the profile is shared * log|first*second| plus
+    excess * log|first| in int64 counts.
+    """
+    n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    k0 = max(math.isqrt(lo), 1)
+    ends = np.arange(k0, math.isqrt(hi) + 2, dtype=np.int64)
+    ends *= ends + 1
+    k = np.searchsorted(ends, n) + k0
+    t = n - k * k
+    la = math.log(abs(w.first))
+    m = abs(w.first) * abs(w.second)
+    lm = math.log(m) if 0.0 < m < math.inf else la + math.log(abs(w.second))
+    profile = (k * (k - 1) // 2 + np.maximum(t, 0)) * lm + (k - np.abs(t)) * la
+    return np.where(t <= 0, w.first, w.second), profile
+
+
+_LEAF = dynamics._LEAF  # horizon_evidence asks blocks for chunks of up to _LEAF terms
+_BLOCK_PAIRS = [
+    (2.0, 0.5),
+    (1.4 + 0.3j, 0.7j),
+    (1.0, 3.0),
+    (1e200, 1e200),  # |first * second| overflows
+    (1e-200, 1e-200),  # |first * second| underflows
+    (1e200, 1e-200),
+]
+
+
+def _pair_boundary(k, which):
+    return (k * (k - 1), k * k, k * (k + 1))[which]
+
+
+@st.composite
+def _block_ranges(draw):
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 10**8))
+    else:  # start where a pair or block ends, or one off it
+        lo = max(_pair_boundary(draw(st.integers(1, 10**4)), draw(st.integers(0, 2))) + draw(st.integers(-1, 1)), 0)
+    if draw(st.booleans()):
+        hi = lo + draw(st.integers(0, 3 * _LEAF))
+    else:  # end where a pair or block ends
+        k = math.isqrt(lo) + draw(st.integers(0, 2 * math.isqrt(3 * _LEAF)))
+        hi = min(max(_pair_boundary(k, draw(st.integers(0, 2))), lo), lo + 3 * _LEAF)
+    a, b = draw(st.sampled_from(_BLOCK_PAIRS))
+    return BalancedBlocks(a, b, draw(st.booleans())), lo, hi
+
+
+@given(_block_ranges())
+@example((BalancedBlocks(2.0, 0.5), 0, 0))
+@example((BalancedBlocks(1e200, 1e200), 0, 3 * _LEAF))
+@example((BalancedBlocks(1e-200, 1e-200, False), 10**8 - 1, 10**8 + 3 * _LEAF))
+@example((BalancedBlocks(2.0, 0.5), 9999 * 10000, 9999 * 10000))
+@settings(max_examples=300, deadline=None)
+def test_block_ranges_match_the_position_by_position_reference_bit_for_bit(case):
+    w, lo, hi = case
+    weights, profile = _blocks_reference(w, lo, hi)
+    got_weights, got_profile = w.weight_range(lo, hi), w.log_abs_profile(lo, hi)
+    assert got_weights.dtype == weights.dtype == np.complex128
+    assert got_weights.tobytes() == weights.tobytes()
+    assert got_profile.dtype == profile.dtype == np.float64
+    assert got_profile.tobytes() == profile.tobytes()
 
 
 _FAMILIES = [
