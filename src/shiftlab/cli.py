@@ -17,11 +17,20 @@ Weight/operator descriptors (``--weights`` / ``--op``):
     powerlaw:<alpha>[:<p>]
 
 A trailing ``:<p>`` in the descriptor wins over ``--p``; the default
-exponent is 2.  Point descriptors for ``orbit``: ``e<k>`` (basis vector),
+exponent is 2.  The example operators live on l^2: ``example:T1|T2|T3``
+fixes p = 2, takes no trailing ``:<p>``, and ignores ``--p``.  An exponent
+anywhere (``--p``, ``:<p>``, a vector file's ``p``) must satisfy
+1 <= p < inf.  Point descriptors for ``orbit``: ``e<k>`` (basis vector),
 ``example3:<K>``, ``box:<L>`` (seeded random vector with support L), or
 ``escape`` (the basis-vector escape demo; requires a constant operator).
 Values that start with a dash (negative weights) must use the
 ``--flag=value`` form, e.g. ``--g=-1:4``.
+
+A vector file for ``apply-map`` holds one JSON object: ``p`` is a number or
+numeric string with 1 <= p < inf, and ``coords`` is a list whose entries
+are each an ``[re, im]`` pair or a bare real, every real a finite number or
+numeric string.  Anything else exits 1 with an ``error:`` line naming the
+field.
 
 Exit codes: 0 pass, 1 usage or config error or a result beyond float
 range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
@@ -53,6 +62,8 @@ from .conjugacy import (
     map_to_dict,
 )
 from .dynamics import (
+    DEFAULT_HORIZON,
+    MIN_HORIZON,
     Confidence,
     classify,
     escape_demo,
@@ -102,46 +113,41 @@ def _parse_scalar(token: str) -> complex:
     raise ValueError(f"cannot parse scalar {token!r}; expected <re> or <re,im>")
 
 
-def _parse_exponent(token: str) -> float:
+def _parse_explicit(entries: str) -> Explicit:
     try:
-        p = float(token)
+        weights = tuple(complex(tok) for tok in entries.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse exponent {token!r}") from None
-    return check_exponent(p)
+        raise ValueError(f"cannot parse explicit weights {entries!r}") from None
+    return Explicit(weights)
+
+
+def _parse_blocks(a: str, b: str, order: str) -> BalancedBlocks:
+    first = order.strip().lower()
+    if first not in ("a_first", "b_first"):
+        raise ValueError(f"block order must be a_first or b_first, got {order!r}")
+    return BalancedBlocks(_parse_scalar(a), _parse_scalar(b), first == "a_first")
+
+
+# kind -> (number of fields before the optional trailing :<p>, builder)
+_FAMILIES = {
+    "constant": (1, lambda value: Constant(_parse_scalar(value))),
+    "explicit": (1, _parse_explicit),
+    "blocks": (3, _parse_blocks),
+    "powerlaw": (1, lambda alpha: PowerLawBeta(float(alpha))),
+}
 
 
 def _parse_weights(desc: str) -> tuple[object, float | None]:
     """Parse a weight descriptor; returns (weights, embedded exponent or None)."""
-    parts = desc.split(":")
-    kind = parts[0].strip().lower()
-    if kind == "constant":
-        if len(parts) == 2:
-            return Constant(_parse_scalar(parts[1])), None
-        if len(parts) == 3:
-            return Constant(_parse_scalar(parts[1])), _parse_exponent(parts[2])
-    elif kind == "example":
-        if len(parts) == 2:
-            op = make_example(parts[1])
-            return op.weights, op.p
-    elif kind == "explicit":
-        if len(parts) in (2, 3):
-            try:
-                entries = tuple(complex(tok) for tok in parts[1].split(","))
-            except ValueError:
-                raise ValueError(f"cannot parse explicit weights {parts[1]!r}") from None
-            p = _parse_exponent(parts[2]) if len(parts) == 3 else None
-            return Explicit(entries), p
-    elif kind == "blocks":
-        if len(parts) in (4, 5):
-            order = parts[3].strip().lower()
-            if order not in ("a_first", "b_first"):
-                raise ValueError(f"block order must be a_first or b_first, got {parts[3]!r}")
-            p = _parse_exponent(parts[4]) if len(parts) == 5 else None
-            return BalancedBlocks(_parse_scalar(parts[1]), _parse_scalar(parts[2]), order == "a_first"), p
-    elif kind == "powerlaw":
-        if len(parts) in (2, 3):
-            p = _parse_exponent(parts[2]) if len(parts) == 3 else None
-            return PowerLawBeta(float(parts[1])), p
+    kind, *fields = desc.split(":")
+    kind = kind.strip().lower()
+    if kind == "example" and len(fields) == 1:
+        op = make_example(fields[0])
+        return op.weights, op.p
+    if kind in _FAMILIES:
+        arity, build = _FAMILIES[kind]
+        if len(fields) in (arity, arity + 1):
+            return build(*fields[:arity]), (check_exponent(fields[arity]) if len(fields) > arity else None)
     raise ValueError(f"cannot parse weight descriptor {desc!r}")
 
 
@@ -156,7 +162,7 @@ def _parse_constant_shift(desc: str) -> tuple[complex, float]:
     parts = desc.split(":")
     if len(parts) != 2:
         raise ValueError(f"cannot parse shift {desc!r}; expected <re[,im]>:<p>")
-    return _parse_scalar(parts[0]), _parse_exponent(parts[1])
+    return _parse_scalar(parts[0]), check_exponent(parts[1])
 
 
 def _parse_point(desc: str, p: float, seed: int) -> FinSeqVector:
@@ -368,7 +374,7 @@ def _build_parser() -> _Parser:
     c = subs.add_parser("classify", parents=[], help="dynamical class of a weight sequence")
     c.add_argument("--weights", required=True, help="weight descriptor")
     c.add_argument("--p", type=float, default=None, help="space exponent (default 2)")
-    c.add_argument("--horizon", type=int, default=100_000, help="evidence horizon (>= 100)")
+    c.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help=f"evidence horizon (>= {MIN_HORIZON})")
     _add_common(c)
     c.set_defaults(func=_cmd_classify)
 
@@ -445,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except ClassMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, IndexError, json.JSONDecodeError) as e:
+    except (ValueError, OverflowError, OSError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -82,12 +82,18 @@ class RangeError(ValueError):
     """A result that should be a finite float is not: it left float range."""
 
 
-def check_exponent(p: float) -> float:
-    """``p`` as a float, or ``ValueError`` unless 1 <= p < inf."""
+def check_exponent(p: object) -> float:
+    """``p`` as a float, or ``ValueError`` unless 1 <= p < inf.
+
+    ``p`` may be anything ``float()`` takes, such as a number or a numeric
+    string; any other value is an exponent outside the domain too.
+    """
     try:
         p = float(p)
     except OverflowError:
         raise ValueError("exponent must satisfy 1 <= p < inf, got an integer beyond float range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}") from None
     if not math.isfinite(p) or p < 1.0:
         raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
     return p
@@ -559,44 +565,38 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _unpair(v: object) -> complex:
-    if type(v) is list and len(v) == 2:
-        re, im = v
-        if type(re) is float and type(im) is float:  # what vector_to_dict writes
-            return complex(re, im)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise ValueError(f"expected [re, im] pair, got {v!r}")
-
-
 def vector_to_dict(x: FinSeqVector) -> dict:
     """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``."""
     return {"p": x.p, "coords": [[c.real, c.imag] for c in x.coords]}
 
 
-def vector_from_dict(d: dict) -> FinSeqVector:
-    """The vector of a ``vector_to_dict`` form.
+def vector_from_dict(d: object) -> FinSeqVector:
+    """The vector of a ``vector_to_dict`` form, checked in one pass.
 
-    ``ValueError`` for a coordinate that is not finite or is an integer
-    beyond float range, and for an exponent outside 1 <= p < inf.
+    ``d`` must be a dict.  Its ``p`` is anything ``check_exponent`` takes,
+    and its ``coords`` a list whose entries are each an ``[re, im]`` pair or
+    a bare real, where a real is a number or a numeric string, as for ``p``.
+    Every coordinate must be finite.  The first field that breaks this
+    raises ``ValueError`` naming it.
     """
-    coords = d["coords"]
-    try:
-        x = FinSeqVector(d["p"], tuple(map(_unpair, coords)))
-    except OverflowError:  # float() of an integer beyond float range
-        for n, v in enumerate(coords, 1):
-            try:
-                _unpair(v)
-            except OverflowError:
-                raise ValueError(f"coordinate {n} is an integer beyond float range") from None
-        raise
-    finite = list(map(cmath.isfinite, x.coords))
-    if not all(finite):
-        n = finite.index(False)
-        raise ValueError(f"coordinate {n + 1} must be finite, got {x.coords[n]!r}")
-    return x
+    if not isinstance(d, dict):
+        raise ValueError(f"a vector must be a JSON object with p and coords, got {type(d).__name__}")
+    coords = d.get("coords")
+    if type(coords) is not list:
+        raise ValueError(f"coords must be a list of [re, im] pairs or reals, got {type(coords).__name__}")
+    out = []
+    for n, v in enumerate(coords, 1):
+        re, im = v if type(v) is list and len(v) == 2 else (v, 0.0)
+        try:
+            z = complex(float(re), float(im))
+        except OverflowError:
+            raise ValueError(f"coordinate {n} is an integer beyond float range") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"coordinate {n} must be an [re, im] pair or a real, got {v!r}") from None
+        if not cmath.isfinite(z):
+            raise ValueError(f"coordinate {n} must be finite, got {z!r}")
+        out.append(z)
+    return FinSeqVector(d.get("p"), tuple(out))
 
 
 def weights_to_dict(w: WeightSequence) -> dict:

@@ -1,8 +1,13 @@
 """CLI exit codes, output shapes, and determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +324,15 @@ _BEYOND_FLOAT = int("9" * 400)  # a JSON integer that float() cannot take
         ({"p": 2, "coords": [[1, 0], [0, -_BEYOND_FLOAT]]}, "coordinate 2 is an integer beyond float range"),
         ({"p": 2, "coords": [_BEYOND_FLOAT]}, "coordinate 1 is an integer beyond float range"),
         ({"p": _BEYOND_FLOAT, "coords": [[1, 0]]}, "got an integer beyond float range"),
+        # wrong JSON types: the first bad field is named
+        ([[1, 0]], "a vector must be a JSON object with p and coords, got list"),
+        ({"p": 2, "coords": 5}, "coords must be a list of [re, im] pairs or reals, got int"),
+        ({"p": 2}, "coords must be a list of [re, im] pairs or reals, got NoneType"),
+        ({"p": 2, "coords": [[1, 0], [None, 0]]}, "coordinate 2 must be an [re, im] pair or a real, got [None, 0]"),
+        ({"p": 2, "coords": [[1, {}]]}, "coordinate 1 must be an [re, im] pair or a real, got [1, {}]"),
+        ({"p": 2, "coords": [[1, 0], "x"]}, "coordinate 2 must be an [re, im] pair or a real, got 'x'"),
+        ({"p": None, "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got None"),
+        ({"p": [2], "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got [2]"),
     ],
 )
 def test_apply_map_integer_beyond_float_range_is_an_error(capsys, tmp_path, doc, message):
@@ -444,3 +458,122 @@ def test_help_exits_zero(capsys):
 def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every argv gets an answer or an `error:` line, never a traceback
+
+_HUGE = "9" * 400  # an integer far beyond float and index range
+# every float slot: edge values and unparsable text, and ordinary values
+# about three times as often, so that many draws get past parsing
+_VALUE = st.sampled_from(
+    ["2", "0.5", "3", "1"] * 12
+    + ["0", "-0", "5e-324", "1e300", "1e-300", "-1e300", "1.5e308", "nan", "inf", "-inf", "1e400", _HUGE]
+    + ["-1", "x", "", "1,2", ":"]
+)
+# sizes: small, or a huge integer that fails cheaply.  Never 1e6..1e18, which
+# would allocate or loop for real, and never a huge --horizon or --samples,
+# whose blocks runs and sample loops go one by one.
+_SIZE = st.sampled_from(["1", "3", "0", "-1", "1e400", "x"] + [_HUGE] * 3)
+_SCALAR = _VALUE | st.builds("{},{}".format, _VALUE, _VALUE)
+_SUFFIX = st.just("") | _VALUE.map(":{}".format)
+_DESC = st.one_of(
+    st.builds("constant:{}{}".format, _SCALAR, _SUFFIX),
+    st.builds("example:{}{}".format, st.sampled_from(["T1", "t2", "T3", "T9"]), st.sampled_from(["", ":3"])),
+    st.builds("explicit:{}{}".format, st.lists(_VALUE, min_size=1, max_size=3).map(",".join), _SUFFIX),
+    st.builds("blocks:{}:{}:{}{}".format, _SCALAR, _SCALAR, st.sampled_from(["a_first", "b_first", "x"]), _SUFFIX),
+    st.builds("powerlaw:{}{}".format, _VALUE, _SUFFIX),
+    _VALUE,
+)
+_POINT = st.builds("{}{}".format, st.sampled_from(["e", "example3:", "box:"]), _SIZE) | st.sampled_from(["escape", "e"])
+
+
+def _one(name, values):
+    return st.tuples(st.just(name), values).map(lambda flag: [flag])
+
+
+def _maybe(name, values):
+    return st.just([]) | _one(name, values)
+
+
+_SEED = _maybe("--seed", _SIZE)
+# per subcommand, groups of (flag, value); a value of True is a bare switch
+_FLAGS = {
+    "classify": st.tuples(
+        _one("--weights", _DESC),
+        _maybe("--p", _VALUE),
+        _maybe("--horizon", st.sampled_from(["100", "1000", "50", "-1", "x"])),
+        _SEED,
+    ),
+    "conjugate-check": st.tuples(
+        _one("--f", st.builds("{}:{}".format, _SCALAR, _VALUE) | _VALUE),
+        _one("--g", st.builds("{}:{}".format, _SCALAR, _VALUE)),
+        _one("--samples", st.sampled_from(["1", "3", "0", "-1", "x"])),
+        _maybe("--tol", _VALUE),
+        _SEED,
+    ),
+    "orbit": st.tuples(
+        _one("--op", _DESC),
+        _one("--point", _POINT),
+        _one("--n", _SIZE),
+        _maybe("--p", _VALUE),
+        _maybe("--format", st.sampled_from(["json", "csv", "x"])),
+        _SEED,
+    ),
+    "apply-map": st.tuples(
+        _one("--h", _VALUE.map("s={}".format))
+        | _one("--g", _VALUE.map("q={}".format))
+        | _one("--diag", st.builds("{}:{}".format, _SCALAR, _SCALAR)),
+        _one("--in", st.just("vec.json")),
+        _maybe("--roundtrip", st.just(True)),
+        _SEED,
+    ),
+}
+_PART = st.floats(-1e3, 1e3) | _NUMBERS | st.sampled_from([None, "1", "x", int(_HUGE), [], {}])
+_VECTOR = st.fixed_dictionaries(
+    {
+        "p": st.sampled_from([2, 3.5, "2"]) | st.sampled_from([int(_HUGE), None, 0.5, "x", [2], True]),
+        "coords": st.lists(st.lists(_PART, min_size=2, max_size=2) | _PART, max_size=4) | _JSON,
+    }
+)
+
+
+@st.composite
+def _invocation(draw):
+    """An argv for one subcommand, and the JSON files it reads, by name."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = [pair for group in draw(_FLAGS[command]) for pair in group]
+    files = {"vec.json": draw(_VECTOR | _JSON)} if command == "apply-map" else {}
+    argv = [command] + [name if value is True else f"{name}={value}" for name, value in flags]
+    how = draw(st.sampled_from(["argv", "argv", "argv", "config", "any config"]))
+    if how != "argv":  # the same flags, or any JSON at all, from a --config file
+        config = {"command": command, **{name[2:]: value for name, value in flags}}
+        files["cfg.json"] = config if how == "config" else draw(_JSON)
+        argv = ["--config", "cfg.json"]
+    return argv, files
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_invocation())
+def test_cli_gives_an_answer_or_an_error_line_for_every_input(invocation):
+    argv, files = invocation
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+    if out.getvalue().startswith("{"):
+        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"bare {token} in the JSON output"))

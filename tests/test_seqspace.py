@@ -588,6 +588,11 @@ def test_vector_from_dict_rejects_non_finite_coordinates(coord):
         vector_from_dict({"p": 2, "coords": [[1, 0], coord]})
 
 
+def test_vector_from_dict_reads_numbers_and_numeric_strings_in_pairs_or_bare():
+    d = {"p": "3", "coords": [[1, 2], ["0.5", "-1e3"], 4, -2.5, "7"]}
+    assert vector_from_dict(d) == FinSeqVector(3.0, (1 + 2j, 0.5 - 1000j, 4, -2.5, 7))
+
+
 def test_vector_dict_shape():
     d = vector_to_dict(FinSeqVector(2.0, (1 + 2j,)))
     assert d == {"p": 2.0, "coords": [[1.0, 2.0]]}
