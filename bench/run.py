@@ -1,9 +1,9 @@
 """Wall time and memory of the shiftlab CLI and of its kernels, in one JSON file.
 
-    python3 bench/run.py --out BENCH_7.json
+    python3 bench/run.py --out BENCH_12.json
 
 Run from the root of a checkout: shiftlab is imported from ``src/``.  The
-script uses the standard library and numpy only, and takes about 35 s on a
+script uses the standard library and numpy only, and takes about 50 s on a
 2-core machine.  The file it writes has four fields:
 
 * ``machine``  Python, numpy and libc versions, CPU model and count.
@@ -12,15 +12,21 @@ script uses the standard library and numpy only, and takes about 35 s on a
                in MB, read with ``os.wait4`` while this process is still
                small.  Every run must exit 0.
 * ``layers``   per ``kernel@size``: the median in-process time in ms of at
-               least three calls after one warm-up call, and the
-               ``tracemalloc`` peak in MiB of one more call.
-* ``slope``    per kernel: the least-squares slope of log time and of log
-               peak against log size over its three sizes, 4x apart.  A time
-               slope near 1 means O(n) work, near 2 O(n^2); a peak slope
-               near 0 means memory that does not grow with the size.
+               least five calls after one warm-up call, the same median
+               scaled to a nominal machine speed, and the ``tracemalloc``
+               peak in MiB of one more call.
+* ``slope``    per kernel: the least-squares slope of log scaled time and
+               of log peak against log size over its three sizes, 4x
+               apart.  A time slope near 1 means O(n) work, near 2 O(n^2);
+               a peak slope near 0 means memory that does not grow with
+               the size.
 
 Times are wall-clock on a shared machine, which can drift by tens of per
-cent within minutes: compare two commits with runs made close together.
+cent within minutes.  So each layer call is bracketed by perfbench's speed
+reference, a fixed stdlib + numpy loop, and its scaled time is its raw time
+times REFERENCE_NOMINAL_NS over the mean of the two references around it,
+as perfbench scales its calls.  Compare scaled times across runs; the e2e
+times are raw only, so compare those with runs made close together.
 """
 
 from __future__ import annotations
@@ -41,10 +47,13 @@ from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+# the speed reference's nominal time, the same as perfbench/run.py's
+REFERENCE_NOMINAL_NS = 2.5e6
 
 REPEATS = 3
-MIN_CALLS = 3
-MIN_SECONDS = 0.25  # keep calling a fast kernel until this much time has passed
+MIN_CALLS = 5
+MIN_SECONDS = 0.5  # keep calling a fast kernel until this much time has passed
 MAX_CALLS = 200
 
 CLI = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -71,7 +80,9 @@ def _kernels() -> dict:
     """
     sys.path.insert(0, SRC)
     from shiftlab import (
+        BalancedBlocks,
         Constant,
+        PowerLawBeta,
         ShiftOperator,
         build_conjugator,
         conjugacy_residual,
@@ -97,7 +108,19 @@ def _kernels() -> dict:
         source, target = ShiftOperator(Constant(2.0), 2.0), ShiftOperator(Constant(4.0), 3.0)
         return partial(conjugacy_residual, source, target, phi, samples=samples, seed=1)
 
-    t2, t3 = make_example("T2"), make_example("T3")
+    t1, t2, t3 = make_example("T1"), make_example("T2"), make_example("T3")
+
+    def evidence(w, p):
+        return lambda n: partial(horizon_evidence, w, p, n)
+
+    # the perfbench classify families: the sums' terms saturate differently in each
+    families = {
+        "T1": (t1.weights, 2.0),
+        "T3": (t3.weights, 2.0),
+        "blocks b_first": (BalancedBlocks(1.4, 0.55, a_first=False), 2.0),
+        "constant": (Constant(0.9 + 0.2j), 2.0),
+        "powerlaw": (PowerLawBeta(0.4), 3.0),
+    }
     return {
         "seqspace.lp_norm": ((2048, 8192, 32768), on_vector(lp_norm, 3.0)),
         "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
@@ -107,22 +130,27 @@ def _kernels() -> dict:
         "dynamics.orbit_norms": ((128, 512, 2048), lambda n: partial(orbit_norms, t3, vector(n, 2.0), n)),
         "dynamics.escape_demo": ((100, 400, 1600), lambda n: partial(escape_demo, 1.5, 2.0, n)),
         "dynamics.beta_profile": ((250_000, 1_000_000, 4_000_000), lambda n: partial(beta_profile, t2.weights, n)),
-        "dynamics.horizon_evidence": (
-            (250_000, 1_000_000, 4_000_000),
-            lambda n: partial(horizon_evidence, t2.weights, 2.0, n),
-        ),
+        "dynamics.horizon_evidence": ((250_000, 1_000_000, 4_000_000), evidence(t2.weights, 2.0)),
+        **{
+            f"dynamics.horizon_evidence[{name}]": ((250_000, 1_000_000, 4_000_000), evidence(w, p))
+            for name, (w, p) in families.items()
+        },
     }
 
 
-def _time_ms(call) -> float:
+def _time_ms(call, speed_reference_ns) -> tuple[float, float]:
+    """The median raw and scaled times in ms of repeated calls."""
     call()  # warm-up
-    times = []
+    times, scaled = [], []
+    ref = speed_reference_ns()
     start = time.perf_counter()
     while len(times) < MAX_CALLS and (len(times) < MIN_CALLS or time.perf_counter() - start < MIN_SECONDS):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
+        ref, before = speed_reference_ns(), ref
+        scaled.append(times[-1] * 2 * REFERENCE_NOMINAL_NS / (before + ref))
+    return statistics.median(times) * 1e3, statistics.median(scaled) * 1e3
 
 
 def _peak_mib(call) -> float:
@@ -192,14 +220,19 @@ def main() -> None:
             }
             print(f"e2e  {name}: {e2e[name]}", file=sys.stderr)
 
+    sys.path.insert(0, PERFBENCH)
+    from worker import speed_reference_ns
+
+    speed_reference_ns()  # its first call pays for first use of what it touches
     layers, slope = {}, {}
     for kernel, (sizes, make) in _kernels().items():
         times, peaks = [], []
         for n in sizes:
             call = make(n)
-            times.append(_time_ms(call))
+            raw, scaled = _time_ms(call, speed_reference_ns)
+            times.append(scaled)
             peaks.append(_peak_mib(call))
-            layers[f"{kernel}@{n}"] = {"median_ms": times[-1], "peak_mib": peaks[-1]}
+            layers[f"{kernel}@{n}"] = {"median_ms": raw, "scaled_ms": scaled, "peak_mib": peaks[-1]}
             print(f"layer {kernel}@{n}: {layers[f'{kernel}@{n}']}", file=sys.stderr)
         slope[kernel] = {"time": _slope(sizes, times), "peak": _slope(sizes, peaks)}
 

@@ -32,6 +32,12 @@ are each an ``[re, im]`` pair or a bare real, every real a finite number or
 numeric string.  Anything else exits 1 with an ``error:`` line naming the
 field.
 
+Sizes have fixed maxima, since work or memory grows with each:
+``--horizon`` at most 10**9, ``--samples`` at most 10**5, and ``orbit``'s
+``--n`` and the length of its point at most 10**6 (K <= 999 for
+``example3:<K>``, whose length is K(K+1)).  A larger value exits 1 at once
+with an ``error:`` line naming it.
+
 Exit codes: 0 pass, 1 usage or config error or a result beyond float
 range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
 mismatch.  Outputs are JSON
@@ -89,11 +95,20 @@ from .seqspace import (
 DEFAULT_P = 2.0
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100
+MAX_HORIZON = 10**9  # the evidence sweep is O(horizon): 10-15 s at the maximum
+MAX_SAMPLES = 10**5  # one sample vector after another: about 30 s at the maximum
+MAX_LENGTH = 10**6  # orbit steps and point supports, each one list entry or more
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage problems, not 2
         raise ValueError(message)
+
+
+def _at_most(name: str, value: int, maximum: int) -> int:
+    if value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +183,15 @@ def _parse_constant_shift(desc: str) -> tuple[complex, float]:
 def _parse_point(desc: str, p: float, seed: int) -> FinSeqVector:
     name = desc.strip()
     if name.startswith("e") and name[1:].isdigit():
-        k = int(name[1:])
+        k = _at_most("--point e<k>", int(name[1:]), MAX_LENGTH)
         if k < 1:
             raise ValueError(f"basis index must be >= 1, got {desc!r}")
         return FinSeqVector(p, (0j,) * (k - 1) + (1 + 0j,))
     if name.startswith("example3:"):
-        return example3_point(int(name.split(":", 1)[1]))
+        # the point has K(K+1) coordinates
+        return example3_point(_at_most("--point example3:<K>", int(name.split(":", 1)[1]), math.isqrt(MAX_LENGTH) - 1))
     if name.startswith("box:"):
-        support = int(name.split(":", 1)[1])
+        support = _at_most("--point box:<L>", int(name.split(":", 1)[1]), MAX_LENGTH)
         if support < 1:
             raise ValueError(f"support length must be >= 1, got {desc!r}")
         return random_vectors(1, p, seed, support_range=(support, support))[0]
@@ -254,6 +270,7 @@ def _payload(command: str, config: dict, result: dict, seed: int) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    _at_most("--horizon", args.horizon, MAX_HORIZON)
     op = _parse_operator(args.weights, args.p)
     verdict = classify(op.weights, op.p, args.horizon)
     config = {
@@ -268,6 +285,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_conjugate_check(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    _at_most("--samples", args.samples, MAX_SAMPLES)
     lam, p = _parse_constant_shift(args.f)
     omega, q = _parse_constant_shift(args.g)
     config = {
@@ -304,7 +322,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
-    if args.n < 0:
+    if _at_most("--n", args.n, MAX_LENGTH) < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     op = _parse_operator(args.op, args.p)
     if args.point.strip() == "escape":
@@ -374,7 +392,7 @@ def _build_parser() -> _Parser:
     c = subs.add_parser("classify", parents=[], help="dynamical class of a weight sequence")
     c.add_argument("--weights", required=True, help="weight descriptor")
     c.add_argument("--p", type=float, default=None, help="space exponent (default 2)")
-    c.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help=f"evidence horizon (>= {MIN_HORIZON})")
+    c.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help=f"{MIN_HORIZON} <= horizon <= {MAX_HORIZON}")
     _add_common(c)
     c.set_defaults(func=_cmd_classify)
 
@@ -382,14 +400,14 @@ def _build_parser() -> _Parser:
     k.add_argument("--f", required=True, help="source shift, <re[,im]>:<p>")
     k.add_argument("--g", required=True, help="target shift, <re[,im]>:<p>")
     k.add_argument("--tol", type=float, default=DEFAULT_TOL, help="max residual to pass, finite and >= 0")
-    k.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="number of sample vectors")
+    k.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=f"number of sample vectors (<= {MAX_SAMPLES})")
     _add_common(k)
     k.set_defaults(func=_cmd_conjugate_check)
 
     o = subs.add_parser("orbit", help="orbit norm trace or escape demo")
     o.add_argument("--op", required=True, help="operator descriptor")
     o.add_argument("--point", required=True, help="e<k>, example3:<K>, box:<L>, or escape")
-    o.add_argument("--n", type=int, required=True, help="number of steps (trace entries for escape)")
+    o.add_argument("--n", type=int, required=True, help=f"steps, or escape trace entries (<= {MAX_LENGTH})")
     o.add_argument("--p", type=float, default=None, help="space exponent (default 2)")
     o.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(o)

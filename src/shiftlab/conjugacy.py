@@ -31,7 +31,7 @@ coordinate boxes of size 10 with supports up to 64 (see the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 from .seqspace import (
@@ -79,11 +79,7 @@ def chi(t: float) -> int:
     """
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError(f"chi is defined for finite t > 0, got {t!r}")
-    if t > 1.0:
-        return 1
-    if t < 1.0:
-        return -1
-    return 0
+    return (t > 1.0) - (t < 1.0)
 
 
 class ClassMismatchError(ValueError):
@@ -417,12 +413,7 @@ class ResidualReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "worst_index": self.worst_index,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def conjugacy_residual(

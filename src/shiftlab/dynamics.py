@@ -35,7 +35,7 @@ experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -127,15 +127,7 @@ class HorizonEvidence:
     tail_log_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "window": self.window,
-            "partial_sum": _json_float(self.partial_sum),
-            "last_decade_increment": _json_float(self.last_decade_increment),
-            "head_log_max": _json_float(self.head_log_max),
-            "tail_log_min": _json_float(self.tail_log_min),
-            "tail_log_max": _json_float(self.tail_log_max),
-        }
+        return {f.name: _json_float(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,6 +205,49 @@ def _pairwise_walk(lo: int, hi: int):
             yield node
 
 
+# exp(x) is exactly 0.0 below _EXP_LOW and inf above _EXP_HIGH for any
+# faithfully rounded exp: the float64 cutoffs are -745.1332191019411 and
+# 709.782712893384, and the margins leave room for a last-bit error.
+_EXP_LOW, _EXP_HIGH = -750.0, 710.0
+
+
+def _exp_in_place(terms: np.ndarray) -> None:
+    """``np.exp(terms, out=terms)``, bit for bit, with saturated lanes kept out of it.
+
+    ``np.exp`` is 3-100 times slower on a lane whose result is 0.0 or inf
+    than on one with a normal result.  The chunk's first and last terms,
+    two float reads, pick the route:
+
+    * an end below _EXP_LOW: a chunk wholly below is filled with 0.0;
+      otherwise ``np.exp`` runs with ``where=`` on the other lanes and the
+      lanes below get 0.0.
+    * both ends above _EXP_HIGH, and so is the chunk's min: filled with inf.
+    * anything else, such as every chunk of a profile that stays in range:
+      ``np.exp`` on the whole chunk.
+
+    0.0 and inf are what ``np.exp`` gives on those lanes.  With ``where=``
+    numpy runs the same inner loop on each run of kept lanes, and its
+    vector loop rounds each lane on its own, whatever its neighbours, so
+    the kept lanes keep their bits; ``tests/test_dynamics.py`` pins that.
+    A nan is not below, and makes the min nan, so a chunk that holds one
+    never gets a fill.  Overflow lanes of a mixed chunk stay inside
+    ``np.exp``, since masking them measured slower, and so do subnormal
+    results, which only ``np.exp`` rounds right.
+    """
+    first, last = terms.item(0), terms.item(-1)
+    if first < _EXP_LOW or last < _EXP_LOW:
+        low = terms < _EXP_LOW
+        if low.all():
+            terms.fill(0.0)
+        else:
+            np.exp(terms, out=terms, where=~low)
+            np.copyto(terms, 0.0, where=low)
+    elif first > _EXP_HIGH < last and terms.min() > _EXP_HIGH:
+        terms.fill(math.inf)
+    else:
+        np.exp(terms, out=terms)
+
+
 def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ...]) -> list[float]:
     """``np.sum(exp(-p * profile)[s:])`` for each s in ``starts``, streamed.
 
@@ -221,8 +256,10 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
     flight on.  When a leaf runs past its end, the next _LEAF terms are
     computed into it from one ``log_abs_profile`` chunk, so each term is
     computed once and the sweep makes about horizon / _LEAF profile calls.
-    The sums of the leaves a walk has finished wait on a stack of their own
-    until its ``_ADD`` markers add them, left + right.
+    Each chunk's exp goes through ``_exp_in_place``, which writes the bits
+    of ``np.exp`` but keeps saturated lanes out of it.  The sums of the
+    leaves a walk has finished wait on a stack of their own until its
+    ``_ADD`` markers add them, left + right.
     """
     walks = [_pairwise_walk(s, horizon) for s in starts]
     stacks: list[list[float]] = [[] for _ in starts]
@@ -241,7 +278,7 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
                 buf_lo, size = lo, keep + len(profile)
                 terms = buf[keep:size]
                 np.multiply(profile, -p, out=terms)
-                np.exp(terms, out=terms)
+                _exp_in_place(terms)
             sums = stacks[i]
             sums.append(float(buf[lo - buf_lo : hi - buf_lo].sum()))
             for node in walks[i]:
@@ -267,7 +304,14 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
     bits are those of the full-array computation: each chunk of
     ``log_abs_profile`` has the bits of the same slice of ``beta_profile``,
     the terms are elementwise, and both sums add their terms along the tree
-    ``np.sum`` walks over the whole array.
+    ``np.sum`` walks over the whole array.  For every family but the power
+    law most terms are exactly 0.0 or inf, where ``np.exp`` is 3-100 times
+    slower per lane: a chunk whose terms are all below -750 or all above
+    710 is filled with the value ``np.exp`` gives there, and a chunk with
+    some lanes below -750 runs ``np.exp`` on the others only.  A chunk
+    whose first and last terms are in range, such as every power-law
+    chunk, goes to ``np.exp`` whole, as do subnormal and overflowing lanes
+    of a mixed chunk, so each term keeps the bits of ``np.exp``.
     """
     if horizon < 1:
         raise ValueError(f"profile length must be >= 1, got {horizon}")
@@ -338,19 +382,14 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     # numeric path: explicit weight lists only
     effective = min(horizon, len(w.weights))
     ev = horizon_evidence(w, p, effective)
-    is_chaotic = chaotic_evidence(ev)
-    is_mixing = mixing_evidence(ev)
-    is_transitive = transitive_evidence(ev)
-    if is_chaotic and is_mixing:
-        label, decided = DynamicsLabel.CHAOTIC, True
-    elif is_mixing:
-        label, decided = DynamicsLabel.MIXING_NOT_CHAOTIC, True
-    elif is_transitive:
-        label, decided = DynamicsLabel.TRANSITIVE_NOT_MIXING, True
-    elif bounded_evidence(ev):
-        label, decided = DynamicsLabel.NOT_TRANSITIVE, True
+    if mixing_evidence(ev):
+        label = DynamicsLabel.CHAOTIC if chaotic_evidence(ev) else DynamicsLabel.MIXING_NOT_CHAOTIC
+    elif transitive_evidence(ev):
+        label = DynamicsLabel.TRANSITIVE_NOT_MIXING
     else:
-        label, decided = DynamicsLabel.NOT_TRANSITIVE, False
+        label = DynamicsLabel.NOT_TRANSITIVE
+    # a NotTransitive label is only evidence when the profile made no new highs
+    decided = label is not DynamicsLabel.NOT_TRANSITIVE or bounded_evidence(ev)
     confidence = Confidence.NUMERIC_EVIDENCE if decided and effective >= MIN_HORIZON else Confidence.INCONCLUSIVE
     return DynamicsVerdict(label, confidence, effective, ev)
 

@@ -471,10 +471,9 @@ _VALUE = st.sampled_from(
     + ["0", "-0", "5e-324", "1e300", "1e-300", "-1e300", "1.5e308", "nan", "inf", "-inf", "1e400", _HUGE]
     + ["-1", "x", "", "1,2", ":"]
 )
-# sizes: small, or a huge integer that fails cheaply.  Never 1e6..1e18, which
-# would allocate or loop for real, and never a huge --horizon or --samples,
-# whose blocks runs and sample loops go one by one.
-_SIZE = st.sampled_from(["1", "3", "0", "-1", "1e400", "x"] + [_HUGE] * 3)
+# sizes: small, or beyond the CLI's maxima, which fail at once.  Never a size
+# just under a maximum, which would allocate or loop for real.
+_SIZE = st.sampled_from(["1", "3", "0", "-1", "1e400", "x", "10000000000"] + [_HUGE] * 3)
 _SCALAR = _VALUE | st.builds("{},{}".format, _VALUE, _VALUE)
 _SUFFIX = st.just("") | _VALUE.map(":{}".format)
 _DESC = st.one_of(
@@ -502,13 +501,13 @@ _FLAGS = {
     "classify": st.tuples(
         _one("--weights", _DESC),
         _maybe("--p", _VALUE),
-        _maybe("--horizon", st.sampled_from(["100", "1000", "50", "-1", "x"])),
+        _maybe("--horizon", st.sampled_from(["100", "1000", "50", "-1", "x", "1000000000000", _HUGE])),
         _SEED,
     ),
     "conjugate-check": st.tuples(
         _one("--f", st.builds("{}:{}".format, _SCALAR, _VALUE) | _VALUE),
         _one("--g", st.builds("{}:{}".format, _SCALAR, _VALUE)),
-        _one("--samples", st.sampled_from(["1", "3", "0", "-1", "x"])),
+        _one("--samples", st.sampled_from(["1", "3", "0", "-1", "x", "100000000", _HUGE])),
         _maybe("--tol", _VALUE),
         _SEED,
     ),

@@ -268,10 +268,78 @@ def _evidence_cases(draw):
 @example((Explicit(tuple(np.random.default_rng(0).uniform(0.97, 1.03, 100_003))), 2.7, 100_003))
 @example((BalancedBlocks(1.01, 0.99, False), 1.0, 16 * _LEAF + 7))
 @example((PowerLawBeta(0.37), 8.0, 99_999))
+# the routes of _exp_in_place: chunks wholly below -750, wholly above 710,
+# mixed underflow with subnormal results, mixed overflow, and +-inf profiles
+@example((Constant(1.15), 2.0, 16 * _LEAF + 3))
+@example((Constant(0.9), 2.0, 16 * _LEAF + 1))
+@example((BalancedBlocks(2.0, 0.5), 2.0, 600_011))
+@example((BalancedBlocks(0.5, 2.0), 8.0, 16 * _LEAF + 7))
+@example((PowerLawBeta(-1e308), 2.0, 4 * _LEAF + 9))
+@example((PowerLawBeta(1e308), 2.0, 4 * _LEAF + 9))
 @settings(max_examples=60, deadline=None)
 def test_streamed_evidence_equals_the_full_array_form_bit_for_bit(case):
     w, p, horizon = case
     assert _bits(horizon_evidence(w, p, horizon)) == _bits(_full_array_evidence(w, p, horizon))
+
+
+_EDGES = [
+    math.inf, -math.inf, -0.0, 0.0,
+    -750.0, 710.0, -745.1332191019411, 709.782712893384,
+    math.nextafter(-750.0, -math.inf), math.nextafter(710.0, math.inf),
+]
+
+
+def _chunk(kind):
+    """8,192 terms for _exp_in_place, each kind aimed at one of its routes."""
+    rng = np.random.default_rng(len(kind))
+    n = _LEAF
+    if kind.startswith("below"):
+        x = rng.uniform(-3000.0, -750.5, n)
+    elif kind.startswith("above"):
+        x = rng.uniform(710.5, 3000.0, n)
+    elif kind == "subnormal band":  # masked, with subnormal results among the lanes kept
+        x = rng.uniform(-760.0, -700.0, n)
+        x[0] = -760.0
+    elif kind == "interior underflow":  # first and last lanes in range, the middle not
+        x = rng.uniform(-900.0, 5.0, n)
+        x[0], x[-1] = -1.0, 2.0
+    elif kind == "mixed overflow":  # both ends overflow, so the min is looked at
+        x = rng.uniform(-700.0, 800.0, n)
+        x[0], x[-1] = 800.0, 800.0
+    elif kind == "alternating":  # runs of one kept lane between masked ones
+        x = rng.uniform(-700.0, 700.0, n)
+        x[::2] = -800.0
+    else:  # the edge values scattered over a mixed chunk whose ends are saturated
+        x = rng.uniform(-1000.0, 1000.0, n)
+        x[rng.integers(1, n - 1, 3 * len(_EDGES))] = _EDGES * 3
+        x[0], x[-1] = -800.0, 800.0
+    if kind.endswith("nan"):
+        x[n // 2] = math.nan
+    return x
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["below", "below, one nan", "above", "above, one nan", "subnormal band", "interior underflow",
+     "mixed overflow", "alternating", "edges", "edges, one nan"],
+)
+def test_exp_in_place_writes_the_bits_of_np_exp(kind):
+    x = _chunk(kind)
+    for chunk in (x, x[::-1].copy()):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            expected = np.exp(chunk)
+            got = chunk.copy()
+            dynamics._exp_in_place(got)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("value", [math.nan, *_EDGES])
+def test_exp_in_place_of_a_constant_chunk_writes_the_bits_of_np_exp(value):
+    chunk = np.full(_LEAF, value)
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.exp(chunk)
+        dynamics._exp_in_place(chunk)
+    assert np.array_equal(chunk.view(np.int64), expected.view(np.int64))
 
 
 def _streamed_sum(a, lo):
