@@ -1,6 +1,7 @@
 """Wall time and memory of the shiftlab CLI and of its kernels, in one JSON file.
 
-    python3 bench/run.py --out BENCH_12.json
+    python3 bench/run.py --out BENCH_13.json
+    python3 bench/run.py --compare BENCH_12.json BENCH_13.json
 
 Run from the root of a checkout: shiftlab is imported from ``src/``.  The
 script uses the standard library and numpy only, and takes about 50 s on a
@@ -8,13 +9,15 @@ script uses the standard library and numpy only, and takes about 50 s on a
 
 * ``machine``  Python, numpy and libc versions, CPU model and count.
 * ``e2e``      per CLI scenario: the median wall time in ms over REPEATS
-               fresh interpreters, and the largest ``ru_maxrss`` among them
-               in MB, read with ``os.wait4`` while this process is still
+               fresh interpreters with its interquartile range
+               (``iqr_ms``), and the largest ``ru_maxrss`` among them in
+               MB, read with ``os.wait4`` while this process is still
                small.  Every run must exit 0.
 * ``layers``   per ``kernel@size``: the median in-process time in ms of at
                least five calls after one warm-up call, the same median
-               scaled to a nominal machine speed, and the ``tracemalloc``
-               peak in MiB of one more call.
+               scaled to a nominal machine speed with the interquartile
+               range of the scaled calls (``scaled_iqr_ms``), and the
+               ``tracemalloc`` peak in MiB of one more call.
 * ``slope``    per kernel: the least-squares slope of log scaled time and
                of log peak against log size over its three sizes, 4x
                apart.  A time slope near 1 means O(n) work, near 2 O(n^2);
@@ -27,6 +30,14 @@ reference, a fixed stdlib + numpy loop, and its scaled time is its raw time
 times REFERENCE_NOMINAL_NS over the mean of the two references around it,
 as perfbench scales its calls.  Compare scaled times across runs; the e2e
 times are raw only, so compare those with runs made close together.
+
+``--compare OLD NEW`` prints, per entry that both files hold, the ratio
+NEW / OLD of the scaled median (of the raw median for e2e entries and for
+files written before scaled times existed), and marks with ``*`` a ratio
+that lies outside both files' spreads: one minus the ratio exceeds, in
+absolute value, each file's interquartile range over its median.  A file
+written before spreads were recorded counts as spread 0.  The marks are a
+reading aid, not a gate; the exit status is 0.
 """
 
 from __future__ import annotations
@@ -138,8 +149,13 @@ def _kernels() -> dict:
     }
 
 
-def _time_ms(call, speed_reference_ns) -> tuple[float, float]:
-    """The median raw and scaled times in ms of repeated calls."""
+def _iqr(values) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def _time_ms(call, speed_reference_ns) -> tuple[float, float, float]:
+    """The median raw and scaled times in ms of repeated calls, and the scaled interquartile range."""
     call()  # warm-up
     times, scaled = [], []
     ref = speed_reference_ns()
@@ -150,7 +166,7 @@ def _time_ms(call, speed_reference_ns) -> tuple[float, float]:
         times.append(time.perf_counter() - t0)
         ref, before = speed_reference_ns(), ref
         scaled.append(times[-1] * 2 * REFERENCE_NOMINAL_NS / (before + ref))
-    return statistics.median(times) * 1e3, statistics.median(scaled) * 1e3
+    return statistics.median(times) * 1e3, statistics.median(scaled) * 1e3, _iqr(scaled) * 1e3
 
 
 def _peak_mib(call) -> float:
@@ -201,10 +217,38 @@ def _machine() -> dict:
     }
 
 
+def _timing(entry: dict, scaled: bool) -> tuple[float, float]:
+    """An entry's scaled or raw median in ms, and its spread relative to that median."""
+    key, iqr = ("scaled_ms", "scaled_iqr_ms") if scaled else ("median_ms", "iqr_ms")
+    return entry[key], entry.get(iqr, 0.0) / entry[key]
+
+
+def compare(old_path: str, new_path: str) -> list[str]:
+    """One line per entry in both files: old and new medians, their ratio, and a mark."""
+    with open(old_path, encoding="utf-8") as f:
+        old = json.load(f)
+    with open(new_path, encoding="utf-8") as f:
+        new = json.load(f)
+    rows = []
+    for section in ("layers", "e2e"):
+        for name in old.get(section, {}).keys() & new.get(section, {}).keys():
+            entries = old[section][name], new[section][name]
+            scaled = all("scaled_ms" in entry for entry in entries)
+            (a, spread_old), (b, spread_new) = (_timing(entry, scaled) for entry in entries)
+            mark = "*" if abs(b / a - 1) > max(spread_old, spread_new) else ""
+            rows.append(f"{name + ('' if scaled else ' (raw)'):58} {a:10.3f} {b:10.3f} {b / a:7.3f} {mark}".rstrip())
+    return [f"{'entry':58} {'old ms':>10} {'new ms':>10} {'ratio':>7}"] + sorted(rows)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_7.json")
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--out", help="JSON file to write, e.g. BENCH_13.json")
+    which.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="print NEW / OLD per entry of two such files")
     args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return
 
     e2e = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -216,6 +260,7 @@ def main() -> None:
             runs = [_run_cli([vec if a == "{vec}" else a for a in argv]) for _ in range(REPEATS)]
             e2e[name] = {
                 "median_ms": statistics.median(ms for ms, _ in runs),
+                "iqr_ms": _iqr([ms for ms, _ in runs]),
                 "max_rss_mb": max(mb for _, mb in runs),
             }
             print(f"e2e  {name}: {e2e[name]}", file=sys.stderr)
@@ -229,10 +274,10 @@ def main() -> None:
         times, peaks = [], []
         for n in sizes:
             call = make(n)
-            raw, scaled = _time_ms(call, speed_reference_ns)
+            raw, scaled, iqr = _time_ms(call, speed_reference_ns)
             times.append(scaled)
             peaks.append(_peak_mib(call))
-            layers[f"{kernel}@{n}"] = {"median_ms": raw, "scaled_ms": scaled, "peak_mib": peaks[-1]}
+            layers[f"{kernel}@{n}"] = {"median_ms": raw, "scaled_ms": scaled, "scaled_iqr_ms": iqr, "peak_mib": peaks[-1]}
             print(f"layer {kernel}@{n}: {layers[f'{kernel}@{n}']}", file=sys.stderr)
         slope[kernel] = {"time": _slope(sizes, times), "peak": _slope(sizes, peaks)}
 

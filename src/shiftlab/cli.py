@@ -34,9 +34,11 @@ field.
 
 Sizes have fixed maxima, since work or memory grows with each:
 ``--horizon`` at most 10**9, ``--samples`` at most 10**5, and ``orbit``'s
-``--n`` and the length of its point at most 10**6 (K <= 999 for
-``example3:<K>``, whose length is K(K+1)).  A larger value exits 1 at once
-with an ``error:`` line naming it.
+``--n`` and the length L of its point at most 10**6 (K <= 999 for
+``example3:<K>``, whose length is K(K+1)).  An orbit of a point other than
+``escape`` also costs O(L * min(--n, L)), so min(--n, L) * L must be at
+most 10**8.  A larger value exits 1 at once with an ``error:`` line naming
+it.
 
 Exit codes: 0 pass, 1 usage or config error or a result beyond float
 range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
@@ -98,6 +100,7 @@ DEFAULT_SAMPLES = 100
 MAX_HORIZON = 10**9  # the evidence sweep is O(horizon): 10-15 s at the maximum
 MAX_SAMPLES = 10**5  # one sample vector after another: about 30 s at the maximum
 MAX_LENGTH = 10**6  # orbit steps and point supports, each one list entry or more
+MAX_ORBIT_WORK = 10**8  # min(--n, L) * L for a point of length L: about 30 s at the maximum
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,20 +183,29 @@ def _parse_constant_shift(desc: str) -> tuple[complex, float]:
     return _parse_scalar(parts[0]), check_exponent(parts[1])
 
 
-def _parse_point(desc: str, p: float, seed: int) -> FinSeqVector:
+def _orbit_work(n: int, length: int) -> None:
+    _at_most("min(--n, L) * L for --point of length L", min(n, length) * length, MAX_ORBIT_WORK)
+
+
+def _parse_point(desc: str, p: float, seed: int, n: int) -> FinSeqVector:
+    """The point of ``orbit``, once its work for ``n`` steps is known to be within bounds."""
     name = desc.strip()
     if name.startswith("e") and name[1:].isdigit():
         k = _at_most("--point e<k>", int(name[1:]), MAX_LENGTH)
         if k < 1:
             raise ValueError(f"basis index must be >= 1, got {desc!r}")
+        _orbit_work(n, k)
         return FinSeqVector(p, (0j,) * (k - 1) + (1 + 0j,))
     if name.startswith("example3:"):
         # the point has K(K+1) coordinates
-        return example3_point(_at_most("--point example3:<K>", int(name.split(":", 1)[1]), math.isqrt(MAX_LENGTH) - 1))
+        k = _at_most("--point example3:<K>", int(name.split(":", 1)[1]), math.isqrt(MAX_LENGTH) - 1)
+        _orbit_work(n, k * (k + 1))
+        return example3_point(k)
     if name.startswith("box:"):
         support = _at_most("--point box:<L>", int(name.split(":", 1)[1]), MAX_LENGTH)
         if support < 1:
             raise ValueError(f"support length must be >= 1, got {desc!r}")
+        _orbit_work(n, support)
         return random_vectors(1, p, seed, support_range=(support, support))[0]
     raise ValueError(
         f"cannot parse point descriptor {desc!r}; expected e<k>, example3:<K>, box:<L>, or escape"
@@ -247,22 +259,14 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(_dumps(payload) + "\n", out)
+def _emit_json(command: str, config: dict, result: dict, args: argparse.Namespace) -> None:
+    """Write the output document: the command, its config and result, the seed and the version."""
+    payload = {"command": command, "config": config, "result": result, "seed": args.seed, "version": __version__}
+    _emit(_dumps(payload) + "\n", args.out)
 
 
 def _emit_csv(rows: list[tuple[str, str]], out: str | None) -> None:
     _emit("\n".join(",".join(row) for row in rows) + "\n", out)
-
-
-def _payload(command: str, config: dict, result: dict, seed: int) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "result": result,
-        "seed": seed,
-        "version": __version__,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "p": op.p,
         "horizon": args.horizon,
     }
-    _emit_json(_payload("classify", config, verdict.to_dict(), args.seed), args.out)
+    _emit_json("classify", config, verdict.to_dict(), args)
     return 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
 
 
@@ -303,7 +307,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
             "chi_g": e.chi_target,
             "reason": str(e),
         }
-        _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
+        _emit_json("conjugate-check", config, result, args)
         return 3
     source = ShiftOperator(Constant(lam), p)
     target = ShiftOperator(Constant(omega), q)
@@ -317,7 +321,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
         "residual": report.to_dict(),
         "passed": passed,
     }
-    _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
+    _emit_json("conjugate-check", config, result, args)
     return 0 if passed else 2
 
 
@@ -332,13 +336,13 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             raise ValueError("the escape demo needs --n >= 1")
         trace = escape_demo(op.weights.value, op.p, args.n)
     else:
-        x = _parse_point(args.point, op.p, args.seed)
+        x = _parse_point(args.point, op.p, args.seed, args.n)
         trace = orbit_norms(op, x, args.n, point=args.point)
     if args.format == "csv":
         _emit_csv(trace.csv_rows(), args.out)
     else:
         config = {"op": trace.operator, "point": args.point, "n": args.n}
-        _emit_json(_payload("orbit", config, trace.to_dict(), args.seed), args.out)
+        _emit_json("orbit", config, trace.to_dict(), args)
     return 0
 
 
@@ -371,7 +375,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> int:
         back = phi.inverse().apply(image)
         result["roundtrip_max_deviation"] = max_coord_diff(x, back)
     config = {"in": args.infile, "roundtrip": args.roundtrip}
-    _emit_json(_payload("apply-map", config, result, args.seed), args.out)
+    _emit_json("apply-map", config, result, args)
     return 0
 
 

@@ -465,22 +465,36 @@ def _operator_descriptor(t: ShiftOperator) -> dict:
     return {"weights": weights_to_dict(t.weights), "p": t.p}
 
 
-def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
-    """||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
+def _finite_norm(moduli: list[float], p: float, step: int) -> float:
+    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite."""
+    norm = _norm_from_moduli(moduli, p)
+    if not math.isfinite(norm):
+        raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
+    return norm
 
-    The coordinates live in two float64 arrays, real and imaginary parts, and
+
+def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
+    """The norm trace ||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
+
+    The trace always has n+1 entries; entries past the support length are
+    exactly zero and ``valid_horizon`` reports where that happens.  For a
+    support of length L the cost is O(L * min(n, L)) float operations.  The
+    coordinates live in two float64 arrays, real and imaginary parts, and
     each step is one slice product with the weights w_1..w_{L-1}, built once.
     The product is written out as Python's complex multiplication computes
     it, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, and the moduli come from
     ``np.hypot``, which is what ``abs`` of a Python complex calls: numpy's
     complex128 product and modulus do not round the same way.  The power sum
     stays ``_norm_from_moduli``, since numpy's ``power`` does not round as
-    Python's ``**`` does either.  Once the support runs out the norms are 0.
+    Python's ``**`` does either.  A norm beyond float range raises
+    ``RangeError`` naming its step.
     """
+    if n < 0:
+        raise ValueError(f"orbit length must be >= 0, got {n}")
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_finite_norm(re, im, x.p, 0)]
+        norms = [_finite_norm(np.hypot(re, im).tolist(), x.p, 0)]
         if n >= 1:
             if x.p != t.p:
                 raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
@@ -491,34 +505,10 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
                 c, d = re[1:], im[1:]
                 m = len(c)
                 re, im = a[:m] * c - b[:m] * d, a[:m] * d + b[:m] * c
-                norms.append(_finite_norm(re, im, x.p, k))
+                norms.append(_finite_norm(np.hypot(re, im).tolist(), x.p, k))
             norms.extend([0.0] * (n - live))
-    return norms
-
-
-def _finite_norm(re: np.ndarray, im: np.ndarray, p: float, step: int) -> float:
-    """The l^p norm of re + i*im; ``RangeError`` naming ``step`` if it is not finite."""
-    norm = _norm_from_moduli(np.hypot(re, im).tolist(), p)
-    if not math.isfinite(norm):
-        raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
-    return norm
-
-
-def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
-    """The norm trace ||T^k x||_p for k = 0..n.
-
-    The trace always has n+1 entries; entries past the support length are
-    exactly zero and ``valid_horizon`` reports where that happens.  For a
-    support of length L the cost is O(L * min(n, L)) float operations on
-    split real and imaginary arrays, which round exactly as the Python
-    complex arithmetic of ``apply_shift`` and ``lp_norm`` does, so the
-    trace is bit for bit that of repeated application.  A norm beyond
-    float range raises ``RangeError`` naming its step.
-    """
-    if n < 0:
-        raise ValueError(f"orbit length must be >= 0, got {n}")
     return OrbitTrace(
-        norms=tuple(_orbit_norm_list(t, x, n)),
+        norms=tuple(norms),
         valid_horizon=min(n, x.support_length),
         operator=_operator_descriptor(t),
         point=point or f"support:{x.support_length}",
@@ -526,26 +516,32 @@ def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> O
 
 
 def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
-    """Norms ||(lam B)^(k-1) e_k||_p for k = 1..n, read off the orbit of e_n.
+    """Norms ||(lam B)^(k-1) e_k||_p for k = 1..n, in O(n) work.
 
-    Entry k-1 of the trace is |lam|^(k-1): the k-th basis vector survives
-    exactly k-1 shifts, picking up one weight factor per step.  Since
-    (lam B)^j e_n = lam^j e_(n-j), with lam^j formed by the same products,
-    the orbit of e_n over n-1 steps gives every entry in O(n^2) numpy work.
-    The trace demonstrates geometric escape (|lam| > 1), constancy
-    (|lam| = 1), or decay to 0 (|lam| < 1) along a single family of unit
-    vectors.  Every step is within each vector's support, so the whole
-    trace is valid: ``valid_horizon`` = n - 1.
+    Entry k-1 of the trace is |lam^(k-1)|: the k-th basis vector survives
+    exactly k-1 shifts, picking up one weight factor per step, and ends as
+    lam^(k-1) e_1.  So only that one coordinate is carried.  lam^k is formed
+    from lam^(k-1) by Python's complex product (ac - bd) + (ad + bc)i on
+    split parts, its modulus by ``np.hypot``, and its norm by
+    ``_norm_from_moduli``: bit for bit the trace of the orbit of e_n under
+    ``orbit_norms``, whose other coordinates are exact zeros.  The trace
+    demonstrates geometric escape (|lam| > 1), constancy (|lam| = 1), or
+    decay to 0 (|lam| < 1) along a single family of unit vectors.  Every
+    step is within each vector's support, so the whole trace is valid:
+    ``valid_horizon`` = n - 1.  A norm beyond float range raises
+    ``RangeError`` naming its step.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("shift weight must be nonzero")
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
-    t = ShiftOperator(Constant(lam), p)
-    e_n = FinSeqVector(p, (0j,) * (n - 1) + (1 + 0j,))
+    t = ShiftOperator(Constant(lam), p)  # a zero or non-finite weight raises here
+    a, b, c, d = t.weights.value.real, t.weights.value.imag, 1.0, 0.0
+    norms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            norms.append(_finite_norm([float(np.hypot(c, d))], t.p, k))
+            c, d = a * c - b * d, a * d + b * c
     return OrbitTrace(
-        norms=tuple(_orbit_norm_list(t, e_n, n - 1)),
+        norms=tuple(norms),
         valid_horizon=n - 1,
         operator=_operator_descriptor(t),
         point="escape:basis",

@@ -3,9 +3,9 @@
 A vector here is an exact element of l^p: an exponent p >= 1 together with a
 finite tuple of complex coordinates (coordinate n is zero for n beyond the
 tuple).  Every norm and tail sum is therefore a finite sum over the support,
-evaluated with correctly rounded summation (``math.fsum``), so the identities
-tested elsewhere hold up to floating-point rounding only; there is no series
-truncation error anywhere in this module.  ``check_exponent`` is the one
+correctly rounded (norms by ``math.fsum``, tails as exact integer sums
+rounded once), so the identities tested elsewhere hold up to floating-point
+rounding only; there is no series truncation error anywhere in this module.  ``check_exponent`` is the one
 place that decides 1 <= p < inf.
 
 Weight sequences come in four generator families:
@@ -48,7 +48,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import accumulate, starmap
 from typing import Union
 
 import numpy as np
@@ -159,43 +159,81 @@ def lp_norm(x: FinSeqVector) -> float:
     return _norm_from_moduli([abs(c) for c in x.coords], x.p)
 
 
+def _moduli_and_powers(x: FinSeqVector) -> tuple[list[float], list[float]]:
+    """The moduli |x_n| and the powers |x_n|**p of the coordinates of ``x``.
+
+    A modulus or power beyond float range raises the ``RangeError`` that
+    ``tail_power_sums`` documents.
+    """
+    try:
+        moduli = list(map(abs, x.coords))
+        return moduli, [m**x.p for m in moduli]
+    except OverflowError:
+        raise _tail_range_error(x) from None
+
+
+def _tail_sums(x: FinSeqVector, powers: list[float]) -> list[float]:
+    """Every suffix sum of ``powers``, the powers of ``x``, correctly rounded; then 0.0.
+
+    ``np.frexp`` splits each finite power into a 53-bit integer times a power
+    of two, so over the least of those, 2**-k, every power is an integer and
+    ``accumulate`` sums them exactly from the end.  Each sum is rounded once:
+    by ``float(int)``, which CPython rounds correctly, times 2**-k, which is
+    exact while every tail is a normal float and every sum is below 2**1023;
+    otherwise by ``int / int`` true division, also correctly rounded.  So
+    every tail has the bits of ``math.fsum`` over its powers.  A nan or inf
+    power, or a tail beyond float range, raises the ``RangeError`` that
+    ``tail_power_sums`` documents.
+    """
+    frac, exp = np.frexp(powers)
+    if not np.isfinite(frac).all():
+        raise _tail_range_error(x)
+    k = 53 - int(exp.min(initial=53))  # every power is an integer over 2**k
+    ints = (frac * 2.0**53).astype(np.int64)[::-1].tolist()  # power = ints * 2**(exp - 53), exactly
+    sums = list(accumulate(map(operator.lshift, ints, (exp[::-1] + (k - 53)).tolist())))
+    if k <= 1022 and (not sums or sums[-1] < 1 << 1023):  # nonzero tails are then at least 2**-1022
+        scale = math.ldexp(1.0, -k)
+        return [float(t) * scale for t in reversed(sums)] + [0.0]
+    try:
+        return [t / (1 << k) for t in reversed(sums)] + [0.0]
+    except OverflowError:
+        raise _tail_range_error(x) from None
+
+
+def _tail_range_error(x: FinSeqVector) -> RangeError:
+    """The error of the first tail of ``x``, from the last coordinate back, that is not finite.
+
+    Only called once some tail has failed, so the walk always finds one.
+    """
+    total = 0  # the exact tail times 2**1074: every float is a whole multiple of 2**-1074
+    for k, c in zip(range(len(x.coords), 0, -1), reversed(x.coords)):
+        try:
+            # abs() of a complex with a nan part can raise a stale OverflowError left
+            # by an earlier overflow; math.hypot gives its modulus, nan or inf, plainly
+            v = (abs(c) if cmath.isfinite(c) else math.hypot(c.real, c.imag)) ** x.p
+        except OverflowError:
+            return RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
+        if math.isfinite(v):
+            n, d = v.as_integer_ratio()
+            total += (n << 1074) // d  # exact: d is a power of two up to 2**1074
+        # the least real that rounds to inf is 2**1024 - 2**970, halfway from the
+        # largest float to 2**1024; v + inf below is inf, or nan for a nan power
+        if not math.isfinite(v) or total >= (2**1024 - 2**970) << 1074:
+            return RangeError(f"tail power sum from coordinate {k} is {v + math.inf!r}: it left float range")
+
+
 def tail_power_sums(x: FinSeqVector) -> list[float]:
     """All tail power sums of ``x``: entry i is sum_{n >= i+1} |x_n|^p.
 
-    The list has length ``len(x.coords) + 1`` and ends with 0.0.  It is
-    built in one O(n) pass from the last coordinate to the first that keeps
-    the running suffix sum exactly, as a short list of non-overlapping
-    Shewchuk partials (J. R. Shewchuk, DCG 18, 1997; the recipe behind
-    ``math.fsum``).  Every entry is the ``fsum`` of those partials, so each
-    tail is still correctly rounded rather than carrying accumulated error
-    from a running total.  A power or tail that leaves float range raises
-    ``RangeError`` naming its coordinate.
+    The list has length ``len(x.coords) + 1`` and ends with 0.0.  Each tail
+    is the exact sum of its powers, taken over integers, rounded once to the
+    nearest float, so it has the bits of ``math.fsum`` over its suffix
+    rather than the accumulated error of a running total.  The cost is
+    O(n) integer additions.  Walking from the last coordinate to the first,
+    the first power beyond float range raises ``RangeError`` naming its
+    coordinate, as does the first tail that is inf or nan.
     """
-    p = x.p
-    n = len(x.coords)
-    tails = [0.0]
-    partials: list[float] = []
-    for j, c in enumerate(reversed(x.coords)):
-        try:
-            v = abs(c) ** p
-        except OverflowError:
-            raise RangeError(f"|x_n|**p at coordinate {n - j} is beyond float range") from None
-        i = 0
-        for y in partials:  # hi + lo == v + y exactly, with |lo| below an ulp of hi
-            if abs(v) < abs(y):
-                v, y = y, v
-            hi = v + y
-            lo = y - (hi - v)
-            if lo:
-                partials[i] = lo
-                i += 1
-            v = hi
-        if not math.isfinite(v):
-            raise RangeError(f"tail power sum from coordinate {n - j} is {v!r}: it left float range")
-        partials[i:] = [v]
-        tails.append(math.fsum(partials))
-    tails.reverse()
-    return tails
+    return _tail_sums(x, _moduli_and_powers(x)[1])
 
 
 def scale(x: FinSeqVector, c: complex) -> FinSeqVector:
@@ -521,10 +559,7 @@ def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:
     """
     if x.p != t.p:
         raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
-    n = len(x.coords)
-    if n <= 1:
-        return FinSeqVector(x.p, ())
-    ws = t.weights.weight_range(0, n - 1).tolist()
+    ws = t.weights.weight_range(0, max(len(x.coords) - 1, 0)).tolist()
     return FinSeqVector(x.p, tuple(w * c for w, c in zip(ws, x.coords[1:])))
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import _dumps, main
+from shiftlab import cli
+from shiftlab.cli import _dumps, _orbit_work, main
 
 
 def run(capsys, *argv):
@@ -241,6 +242,32 @@ def test_orbit_escape_past_float_range_is_a_range_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and "step 309" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point, n", [("box:1000000", 1000000), ("e20000", 10000), ("example3:999", 101)])
+def test_orbit_work_beyond_maximum_is_refused_before_the_point_is_built(capsys, monkeypatch, point, n):
+    # min(--n, L) * L is the orbit's cost: 10**12, 2 * 10**8 and 999000 * 101
+    for builder in ("FinSeqVector", "example3_point", "random_vectors"):
+        monkeypatch.setattr(cli, builder, lambda *args, **kwargs: pytest.fail("the point was built"))
+    code, out, err = run(capsys, "orbit", "--op", "constant:1", "--point", point, "--n", str(n))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: min(--n, L) * L for --point of length L must be <= 100000000, got ")
+
+
+def test_orbit_work_maximum_is_exact():
+    _orbit_work(10**4, 10**4)
+    _orbit_work(100, 10**6)
+    with pytest.raises(ValueError, match="must be <= 100000000, got 100020001"):
+        _orbit_work(10**6, 10**4 + 1)
+    with pytest.raises(ValueError, match="got 101000000"):
+        _orbit_work(101, 10**6)
+
+
+def test_orbit_escape_is_linear_in_n(capsys):
+    # one live coordinate per step: the quadratic form took hours at this n
+    code, out, err = run(capsys, "orbit", "--op", "constant:1", "--point", "escape", "--n", "200000", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 200001 and out.endswith("\n199999,1.0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -693,6 +693,23 @@ def test_escape_demo_is_the_orbit_of_the_last_basis_vector(lam, p):
         assert trace.norms[k - 1] == _iterated_norms(t, e_k, k - 1)[-1]
 
 
+@pytest.mark.parametrize("lam", [10.0, complex(1e200, 1e200), complex(-1e200, 1e200), complex(1e154, -1e154), 1e-10])
+def test_escape_demo_ends_as_the_orbit_of_the_last_basis_vector_ends(lam):
+    # the same norms, or the same error at the same step, once the live
+    # coordinate leaves float range or underflows
+    n = 400
+    e_n = FinSeqVector(2.0, (0j,) * (n - 1) + (1 + 0j,))
+
+    def outcome(f):
+        try:
+            return [v.hex() for v in f().norms]
+        except RangeError as e:
+            return str(e)
+
+    orbit = outcome(lambda: orbit_norms(ShiftOperator(Constant(lam), 2.0), e_n, n - 1))
+    assert outcome(lambda: escape_demo(lam, 2.0, n)) == orbit
+
+
 def test_escape_demo_beyond_squared_float_range():
     # 10^k squared overflows from k = 155 on; the norm itself fits up to 10^308
     trace = escape_demo(10.0, 2.0, 200)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from shiftlab import (
     ShiftOperator,
     apply_shift,
     beta_profile,
+    h_map,
     log_abs_beta,
     lp_norm,
     max_coord_diff,
@@ -32,6 +34,7 @@ from shiftlab import (
     weights_to_dict,
 )
 from shiftlab import dynamics
+from shiftlab.conjugacy import _pow_diff
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -152,6 +155,77 @@ def test_tail_power_sums_range_errors_name_the_coordinate():
     # each power fits but their sum does not
     with pytest.raises(RangeError, match="coordinate 1"):
         tail_power_sums(FinSeqVector(2.0, (1e154, 1e154, 1.0)))
+
+
+INF, NAN = complex(math.inf, 0.0), complex(math.nan, 0.0)
+
+
+# walking from the last coordinate to the first, the first failure wins
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ((1e200, 1e154, 1e154), "tail power sum from coordinate 2 is inf: it left float range"),
+        ((1e200, INF), "tail power sum from coordinate 2 is inf: it left float range"),
+        ((1, NAN, 2), "tail power sum from coordinate 2 is nan: it left float range"),
+        ((NAN, 1e200), "|x_n|**p at coordinate 2 is beyond float range"),
+        ((1e200, NAN), "tail power sum from coordinate 2 is nan: it left float range"),
+    ],
+)
+@pytest.mark.parametrize("kernel", [tail_power_sums, lambda x: h_map(x, 0.5)], ids=["tail_power_sums", "h_map"])
+def test_tail_range_errors_keep_their_coordinate_and_text(coords, message, kernel):
+    with pytest.raises(RangeError) as caught:
+        kernel(FinSeqVector(2.0, coords))
+    assert str(caught.value) == message
+    # abs() of a complex with a nan part can raise a stale OverflowError that
+    # an earlier overflow left behind; the error must not depend on it
+    with pytest.raises(OverflowError):
+        1e200**2.0
+    with pytest.raises(RangeError) as caught:
+        kernel(FinSeqVector(2.0, coords))
+    assert str(caught.value) == message
+
+
+def test_a_tail_that_rounds_to_the_largest_float_is_not_an_error():
+    # the exact sum is 2.5 * 2**969 below 2**1024, so it rounds down to the
+    # largest float; a running float sum rounds M/2 + 1.5 * 2**969 up first
+    # and then overflows
+    top = sys.float_info.max
+    powers = (top / 2, top / 2, 1.5 * 2.0**969)
+    x = FinSeqVector(1.0, powers)
+    assert tail_power_sums(x)[0] == top == math.fsum(powers)
+    assert _bits(tail_power_sums(x)) == _bits(_suffix_fsums(x))
+
+
+def _h_map_reference(x, s):
+    """h_map coordinate by coordinate: per-suffix fsums and the ``_pow_diff`` formula."""
+    tails = _suffix_fsums(x)
+    coords = []
+    for i, c in enumerate(x.coords):
+        if c == 0:
+            coords.append(0j)
+            continue
+        m = abs(c)
+        try:
+            diff = _pow_diff(tails[i], tails[i + 1], m**x.p, s)
+        except OverflowError:
+            diff = math.inf
+        if diff == math.inf:
+            raise RangeError(f"h_map image at coordinate {i + 1} is beyond float range (s = {s!r})")
+        coords.append((c / m) * diff ** (1.0 / x.p))
+    return coords
+
+
+def _outcome(f, *args):
+    try:
+        return [(c.real.hex(), c.imag.hex()) for c in f(*args)]
+    except RangeError as e:
+        return str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tail_vectors(), st.floats(min_value=1e-3, max_value=1e3))
+def test_h_map_matches_a_per_coordinate_reference_bit_for_bit(x, s):
+    assert _outcome(lambda: h_map(x, s).coords) == _outcome(_h_map_reference, x, s)
 
 
 @given(vectors, nonzero_scalar)
