@@ -259,14 +259,22 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
 
 
-def _emit_json(command: str, config: dict, result: dict, args: argparse.Namespace) -> None:
-    """Write the output document: the command, its config and result, the seed and the version."""
-    payload = {"command": command, "config": config, "result": result, "seed": args.seed, "version": __version__}
-    _emit(_dumps(payload) + "\n", args.out)
+def _emit_json(payload: dict, out: str | None) -> None:
+    _emit(_dumps(payload) + "\n", out)
 
 
 def _emit_csv(rows: list[tuple[str, str]], out: str | None) -> None:
     _emit("\n".join(",".join(row) for row in rows) + "\n", out)
+
+
+def _payload(command: str, config: dict, result: dict, seed: int) -> dict:
+    return {
+        "command": command,
+        "config": config,
+        "result": result,
+        "seed": seed,
+        "version": __version__,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +290,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "p": op.p,
         "horizon": args.horizon,
     }
-    _emit_json("classify", config, verdict.to_dict(), args)
+    _emit_json(_payload("classify", config, verdict.to_dict(), args.seed), args.out)
     return 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
 
 
@@ -307,7 +315,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
             "chi_g": e.chi_target,
             "reason": str(e),
         }
-        _emit_json("conjugate-check", config, result, args)
+        _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
         return 3
     source = ShiftOperator(Constant(lam), p)
     target = ShiftOperator(Constant(omega), q)
@@ -321,7 +329,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
         "residual": report.to_dict(),
         "passed": passed,
     }
-    _emit_json("conjugate-check", config, result, args)
+    _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
     return 0 if passed else 2
 
 
@@ -342,7 +350,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         _emit_csv(trace.csv_rows(), args.out)
     else:
         config = {"op": trace.operator, "point": args.point, "n": args.n}
-        _emit_json("orbit", config, trace.to_dict(), args)
+        _emit_json(_payload("orbit", config, trace.to_dict(), args.seed), args.out)
     return 0
 
 
@@ -375,7 +383,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> int:
         back = phi.inverse().apply(image)
         result["roundtrip_max_deviation"] = max_coord_diff(x, back)
     config = {"in": args.infile, "roundtrip": args.roundtrip}
-    _emit_json("apply-map", config, result, args)
+    _emit_json(_payload("apply-map", config, result, args.seed), args.out)
     return 0
 
 

@@ -32,9 +32,7 @@ coordinate boxes of size 10 with supports up to 64 (see the test suite).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
-from itertools import accumulate, repeat
 from typing import Union
 
 from .seqspace import (
@@ -262,8 +260,14 @@ class DiagStep(_EndoStep):
         """Multiply coordinate n by ratio**(n-1), by running product."""
         if x.p != self.p:
             raise ValueError(f"step acts on l^{self.p} but vector is in l^{x.p}")
-        factors = accumulate(repeat(self.ratio, len(x.coords) - 1), operator.mul, initial=1 + 0j)
-        return FinSeqVector(x.p, tuple(map(operator.mul, factors, x.coords)))
+        ratio = self.ratio
+        coords = []
+        factor = 1 + 0j
+        for i, c in enumerate(x.coords):
+            if i:
+                factor *= ratio
+            coords.append(factor * c)
+        return FinSeqVector(x.p, tuple(coords))
 
     def inverse(self) -> "DiagStep":
         return DiagStep(self.p, 1 / self.ratio)

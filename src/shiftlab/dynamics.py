@@ -465,32 +465,18 @@ def _operator_descriptor(t: ShiftOperator) -> dict:
     return {"weights": weights_to_dict(t.weights), "p": t.p}
 
 
-def _finite_norm(moduli: list[float], p: float, step: int) -> float:
-    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite."""
-    norm = _norm_from_moduli(moduli, p)
-    if not math.isfinite(norm):
-        raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
-    return norm
+def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
+    """||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
 
-
-def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
-    """The norm trace ||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
-
-    The trace always has n+1 entries; entries past the support length are
-    exactly zero and ``valid_horizon`` reports where that happens.  For a
-    support of length L the cost is O(L * min(n, L)) float operations.  The
-    coordinates live in two float64 arrays, real and imaginary parts, and
+    The coordinates live in two float64 arrays, real and imaginary parts, and
     each step is one slice product with the weights w_1..w_{L-1}, built once.
     The product is written out as Python's complex multiplication computes
     it, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, and the moduli come from
     ``np.hypot``, which is what ``abs`` of a Python complex calls: numpy's
     complex128 product and modulus do not round the same way.  The power sum
     stays ``_norm_from_moduli``, since numpy's ``power`` does not round as
-    Python's ``**`` does either.  A norm beyond float range raises
-    ``RangeError`` naming its step.
+    Python's ``**`` does either.  Once the support runs out the norms are 0.
     """
-    if n < 0:
-        raise ValueError(f"orbit length must be >= 0, got {n}")
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,8 +493,32 @@ def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> O
                 re, im = a[:m] * c - b[:m] * d, a[:m] * d + b[:m] * c
                 norms.append(_finite_norm(np.hypot(re, im).tolist(), x.p, k))
             norms.extend([0.0] * (n - live))
+    return norms
+
+
+def _finite_norm(moduli: list[float], p: float, step: int) -> float:
+    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite."""
+    norm = _norm_from_moduli(moduli, p)
+    if not math.isfinite(norm):
+        raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
+    return norm
+
+
+def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
+    """The norm trace ||T^k x||_p for k = 0..n.
+
+    The trace always has n+1 entries; entries past the support length are
+    exactly zero and ``valid_horizon`` reports where that happens.  For a
+    support of length L the cost is O(L * min(n, L)) float operations on
+    split real and imaginary arrays, which round exactly as the Python
+    complex arithmetic of ``apply_shift`` and ``lp_norm`` does, so the
+    trace is bit for bit that of repeated application.  A norm beyond
+    float range raises ``RangeError`` naming its step.
+    """
+    if n < 0:
+        raise ValueError(f"orbit length must be >= 0, got {n}")
     return OrbitTrace(
-        norms=tuple(norms),
+        norms=tuple(_orbit_norm_list(t, x, n)),
         valid_horizon=min(n, x.support_length),
         operator=_operator_descriptor(t),
         point=point or f"support:{x.support_length}",
@@ -531,9 +541,12 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     ``valid_horizon`` = n - 1.  A norm beyond float range raises
     ``RangeError`` naming its step.
     """
+    lam = complex(lam)
+    if lam == 0:
+        raise ValueError("shift weight must be nonzero")
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
-    t = ShiftOperator(Constant(lam), p)  # a zero or non-finite weight raises here
+    t = ShiftOperator(Constant(lam), p)
     a, b, c, d = t.weights.value.real, t.weights.value.imag, 1.0, 0.0
     norms = []
     with np.errstate(over="ignore", invalid="ignore"):

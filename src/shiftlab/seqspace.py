@@ -176,50 +176,57 @@ def _tail_sums(x: FinSeqVector, powers: list[float]) -> list[float]:
     """Every suffix sum of ``powers``, the powers of ``x``, correctly rounded; then 0.0.
 
     ``np.frexp`` splits each finite power into a 53-bit integer times a power
-    of two, so over the least of those, 2**-k, every power is an integer and
-    ``accumulate`` sums them exactly from the end.  Each sum is rounded once:
-    by ``float(int)``, which CPython rounds correctly, times 2**-k, which is
-    exact while every tail is a normal float and every sum is below 2**1023;
-    otherwise by ``int / int`` true division, also correctly rounded.  So
-    every tail has the bits of ``math.fsum`` over its powers.  A nan or inf
-    power, or a tail beyond float range, raises the ``RangeError`` that
-    ``tail_power_sums`` documents.
+    of two, so over 2**-k, the least of those or 1, every power is an integer
+    and ``accumulate`` sums them exactly from the end.  Each sum is rounded
+    once: by ``float(int)``, which CPython rounds correctly, times 2**-k,
+    which is exact while every tail is a normal float and every sum is below
+    2**1023; otherwise by ``int / int`` true division, also correctly
+    rounded, which raises ``OverflowError`` exactly when the tail rounds to
+    inf.  So every tail has the bits of ``math.fsum`` over its powers.  A nan
+    or inf power, or a tail beyond float range, raises the ``RangeError``
+    that ``tail_power_sums`` documents.
     """
     frac, exp = np.frexp(powers)
     if not np.isfinite(frac).all():
         raise _tail_range_error(x)
-    k = 53 - int(exp.min(initial=53))  # every power is an integer over 2**k
+    k = 53 - int(exp.min(initial=53))  # k >= 0, since min counts 53 in; every power is an integer over 2**k
     ints = (frac * 2.0**53).astype(np.int64)[::-1].tolist()  # power = ints * 2**(exp - 53), exactly
     sums = list(accumulate(map(operator.lshift, ints, (exp[::-1] + (k - 53)).tolist())))
     if k <= 1022 and (not sums or sums[-1] < 1 << 1023):  # nonzero tails are then at least 2**-1022
         scale = math.ldexp(1.0, -k)
         return [float(t) * scale for t in reversed(sums)] + [0.0]
-    try:
-        return [t / (1 << k) for t in reversed(sums)] + [0.0]
-    except OverflowError:
-        raise _tail_range_error(x) from None
+    tails, denominator = [0.0], 1 << k
+    for j, t in enumerate(sums):  # from the last coordinate back
+        try:
+            tails.append(t / denominator)
+        except OverflowError:
+            raise RangeError(f"tail power sum from coordinate {len(sums) - j} is inf: it left float range") from None
+    return tails[::-1]
 
 
 def _tail_range_error(x: FinSeqVector) -> RangeError:
-    """The error of the first tail of ``x``, from the last coordinate back, that is not finite.
+    """The error of ``x``'s tail sums once one of its powers has failed.
 
-    Only called once some tail has failed, so the walk always finds one.
+    Walking from the last coordinate back, the first power that raises or is
+    not finite names its coordinate, unless a tail of the finite powers after
+    it has already left float range: ``_tail_sums`` of those powers, with
+    zeros in front, raises that error itself.
     """
-    total = 0  # the exact tail times 2**1074: every float is a whole multiple of 2**-1074
+    powers: list[float] = []
     for k, c in zip(range(len(x.coords), 0, -1), reversed(x.coords)):
         try:
             # abs() of a complex with a nan part can raise a stale OverflowError left
             # by an earlier overflow; math.hypot gives its modulus, nan or inf, plainly
             v = (abs(c) if cmath.isfinite(c) else math.hypot(c.real, c.imag)) ** x.p
         except OverflowError:
-            return RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
-        if math.isfinite(v):
-            n, d = v.as_integer_ratio()
-            total += (n << 1074) // d  # exact: d is a power of two up to 2**1074
-        # the least real that rounds to inf is 2**1024 - 2**970, halfway from the
-        # largest float to 2**1024; v + inf below is inf, or nan for a nan power
-        if not math.isfinite(v) or total >= (2**1024 - 2**970) << 1074:
-            return RangeError(f"tail power sum from coordinate {k} is {v + math.inf!r}: it left float range")
+            error = RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
+            break
+        if not math.isfinite(v):  # v + inf is inf, or nan for a nan power
+            error = RangeError(f"tail power sum from coordinate {k} is {v + math.inf!r}: it left float range")
+            break
+        powers.append(v)
+    _tail_sums(x, [0.0] * (len(x.coords) - len(powers)) + powers[::-1])
+    return error
 
 
 def tail_power_sums(x: FinSeqVector) -> list[float]:
@@ -559,7 +566,10 @@ def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:
     """
     if x.p != t.p:
         raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
-    ws = t.weights.weight_range(0, max(len(x.coords) - 1, 0)).tolist()
+    n = len(x.coords)
+    if n <= 1:
+        return FinSeqVector(x.p, ())
+    ws = t.weights.weight_range(0, n - 1).tolist()
     return FinSeqVector(x.p, tuple(w * c for w, c in zip(ws, x.coords[1:])))
 
 

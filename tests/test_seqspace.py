@@ -162,26 +162,29 @@ INF, NAN = complex(math.inf, 0.0), complex(math.nan, 0.0)
 
 # walking from the last coordinate to the first, the first failure wins
 @pytest.mark.parametrize(
-    "coords, message",
+    "p, coords, message",
     [
-        ((1e200, 1e154, 1e154), "tail power sum from coordinate 2 is inf: it left float range"),
-        ((1e200, INF), "tail power sum from coordinate 2 is inf: it left float range"),
-        ((1, NAN, 2), "tail power sum from coordinate 2 is nan: it left float range"),
-        ((NAN, 1e200), "|x_n|**p at coordinate 2 is beyond float range"),
-        ((1e200, NAN), "tail power sum from coordinate 2 is nan: it left float range"),
+        (2.0, (1e200, 1e154, 1e154), "tail power sum from coordinate 2 is inf: it left float range"),
+        (2.0, (1e200, INF), "tail power sum from coordinate 2 is inf: it left float range"),
+        (2.0, (1, NAN, 2), "tail power sum from coordinate 2 is nan: it left float range"),
+        (2.0, (NAN, 1e200), "|x_n|**p at coordinate 2 is beyond float range"),
+        (2.0, (1e200, NAN), "tail power sum from coordinate 2 is nan: it left float range"),
+        # every power is at least 2**53, so the tails are integers over 2**0
+        (2.0, (1e154, 1e154), "tail power sum from coordinate 1 is inf: it left float range"),
+        (1.0, (2.0**53, sys.float_info.max, sys.float_info.max), "tail power sum from coordinate 2 is inf: it left float range"),
     ],
 )
 @pytest.mark.parametrize("kernel", [tail_power_sums, lambda x: h_map(x, 0.5)], ids=["tail_power_sums", "h_map"])
-def test_tail_range_errors_keep_their_coordinate_and_text(coords, message, kernel):
+def test_tail_range_errors_keep_their_coordinate_and_text(p, coords, message, kernel):
     with pytest.raises(RangeError) as caught:
-        kernel(FinSeqVector(2.0, coords))
+        kernel(FinSeqVector(p, coords))
     assert str(caught.value) == message
     # abs() of a complex with a nan part can raise a stale OverflowError that
     # an earlier overflow left behind; the error must not depend on it
     with pytest.raises(OverflowError):
         1e200**2.0
     with pytest.raises(RangeError) as caught:
-        kernel(FinSeqVector(2.0, coords))
+        kernel(FinSeqVector(p, coords))
     assert str(caught.value) == message
 
 
