@@ -478,9 +478,6 @@ def main(argv: list[str] | None = None) -> int:
             code = e.code
             return code if isinstance(code, int) else 0
         return args.func(args)
-    except ClassMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (ValueError, OverflowError, OSError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -31,6 +31,7 @@ coordinate boxes of size 10 with supports up to 64 (see the test suite).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from typing import Union
@@ -41,7 +42,7 @@ from .seqspace import (
     ShiftOperator,
     _checked_weight,
     _moduli_and_powers,
-    _modulus_or_inf,
+    _modulus,
     _pair,
     _tail_sums,
     apply_shift,
@@ -163,10 +164,9 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
         if c == 0:
             coords.append(0j)
             continue
-        try:
-            m = abs(c)
-        except OverflowError:
-            raise RangeError(f"|x_n| at coordinate {i + 1} is beyond float range") from None
+        m = _modulus(c)
+        if m == math.inf and cmath.isfinite(c):
+            raise RangeError(f"|x_n| at coordinate {i + 1} is beyond float range")
         try:
             coords.append((c / m) * m**e)
         except OverflowError:
@@ -315,9 +315,6 @@ class ConjugacyMap:
             self.domain_p,
         )
 
-    def __call__(self, x: FinSeqVector) -> FinSeqVector:
-        return self.apply(x)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -331,7 +328,7 @@ def _shift_modulus(w: complex) -> float:
     float range.
     """
     w = _checked_weight(w)
-    m = _modulus_or_inf(w)
+    m = _modulus(w)
     if m == math.inf:
         raise RangeError(f"|{w}| is beyond float range")
     return m

@@ -519,9 +519,9 @@ def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> O
         raise ValueError(f"orbit length must be >= 0, got {n}")
     return OrbitTrace(
         norms=tuple(_orbit_norm_list(t, x, n)),
-        valid_horizon=min(n, x.support_length),
+        valid_horizon=min(n, len(x.coords)),
         operator=_operator_descriptor(t),
-        point=point or f"support:{x.support_length}",
+        point=point or f"support:{len(x.coords)}",
     )
 
 
@@ -541,9 +541,6 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     ``valid_horizon`` = n - 1.  A norm beyond float range raises
     ``RangeError`` naming its step.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("shift weight must be nonzero")
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
     t = ShiftOperator(Constant(lam), p)

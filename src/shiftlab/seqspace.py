@@ -27,9 +27,9 @@ index range lo < n <= hi (0 <= lo <= hi):
                                when only numeric evidence can decide
 * ``to_dict()``                the JSON-ready tagged form
 
-Everything else (``weight_at``, ``log_abs_beta``, ``apply_shift``, the
-``dynamics`` profiles, labels and orbits) goes through these methods, so a
-new family is one new class, plus its descriptor in the CLI.
+Everything else (``apply_shift``, the ``dynamics`` profiles, labels and
+orbits) goes through these methods, so a new family is one new class, plus
+its descriptor in the CLI.
 
 ``BalancedBlocks`` tiles the index line with pairs of equal-length blocks:
 pair k occupies positions k(k-1)+1 .. k(k+1), the first k of them carrying
@@ -38,8 +38,8 @@ running product returns to its starting modulus at every pair boundary,
 which is the mechanism behind the transitive-but-not-mixing and
 not-transitive example operators built on top of this module.
 
-Indexing is 1-based throughout the public interface: ``weight_at(w, 1)`` is
-the first weight and ``x.coord(1)`` the first coordinate.
+Sequence indices are 1-based, as in the paper: w_1 is the first weight,
+``w.weight_range(0, 1)[0]``, and x_1 the first coordinate, ``x.coords[0]``.
 """
 
 from __future__ import annotations
@@ -63,12 +63,9 @@ __all__ = [
     "PowerLawBeta",
     "WeightSequence",
     "ShiftOperator",
-    "weight_at",
-    "log_abs_beta",
     "lp_norm",
     "tail_power_sums",
     "apply_shift",
-    "scale",
     "subtract",
     "max_coord_diff",
     "random_vectors",
@@ -120,18 +117,18 @@ class FinSeqVector:
         object.__setattr__(self, "p", check_exponent(self.p))
         object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
 
-    @property
-    def support_length(self) -> int:
-        """Length of the coordinate tuple (an upper bound for the support)."""
-        return len(self.coords)
 
-    def coord(self, n: int) -> complex:
-        """The n-th coordinate, 1-based; zero beyond the stored tuple."""
-        if n < 1:
-            raise ValueError(f"coordinate index must be >= 1, got {n}")
-        if n > len(self.coords):
-            return 0j
-        return self.coords[n - 1]
+def _modulus(w: complex) -> float:
+    """|w|: inf when finite parts have a modulus beyond float range, nan for a nan part.
+
+    ``abs`` raises ``OverflowError`` in the first case, and can raise a stale
+    one left by an earlier overflow in the second; ``math.hypot`` of the
+    parts gives the modulus, inf or nan, plainly.
+    """
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.hypot(w.real, w.imag)
 
 
 def _norm_from_moduli(moduli: list[float], p: float) -> float:
@@ -154,9 +151,14 @@ def lp_norm(x: FinSeqVector) -> float:
     """The l^p norm of ``x``, computed as a correctly rounded power sum.
 
     A power sum that overflows is recomputed with the largest modulus
-    factored out, so the norm is finite whenever it fits in a float.
+    factored out, so the norm is finite whenever it fits in a float.  It is
+    inf when a modulus is beyond float range and nan for a nan coordinate.
     """
-    return _norm_from_moduli([abs(c) for c in x.coords], x.p)
+    try:
+        moduli = list(map(abs, x.coords))
+    except OverflowError:
+        moduli = list(map(_modulus, x.coords))
+    return _norm_from_moduli(moduli, x.p)
 
 
 def _moduli_and_powers(x: FinSeqVector) -> tuple[list[float], list[float]]:
@@ -243,11 +245,6 @@ def tail_power_sums(x: FinSeqVector) -> list[float]:
     return _tail_sums(x, _moduli_and_powers(x)[1])
 
 
-def scale(x: FinSeqVector, c: complex) -> FinSeqVector:
-    """The scalar multiple c * x on the same l^p."""
-    return FinSeqVector(x.p, tuple(c * v for v in x.coords))
-
-
 def _padded(x: FinSeqVector, y: FinSeqVector) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """The coordinate tuples of x and y, the shorter padded with 0j to equal length."""
     n = max(len(x.coords), len(y.coords))
@@ -280,14 +277,6 @@ def _checked_weight(value: object) -> complex:
     return w
 
 
-def _modulus_or_inf(w: complex) -> float:
-    """|w|, or inf when the modulus of finite parts is beyond float range."""
-    try:
-        return abs(w)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True, slots=True)
 class Constant:
     """The constant weight sequence w_n = value."""
@@ -304,7 +293,7 @@ class Constant:
         return np.arange(lo + 1, hi + 1, dtype=np.float64) * math.log(abs(self.value))
 
     def bound(self) -> float:
-        return _modulus_or_inf(self.value)
+        return _modulus(self.value)
 
     def analytic_label(self, p: float) -> str:
         # beta(n) = value^n: the chaos sum is geometric, so |value| > 1
@@ -348,7 +337,7 @@ class Explicit:
         return self._log_abs[lo:hi].copy()
 
     def bound(self) -> float:
-        return max(_modulus_or_inf(v) for v in self.weights)
+        return max(_modulus(v) for v in self.weights)
 
     def analytic_label(self, p: float) -> None:
         return None  # a finite list only ever gives finite-horizon evidence
@@ -459,7 +448,7 @@ class BalancedBlocks:
         return out
 
     def bound(self) -> float:
-        return max(_modulus_or_inf(self.a), _modulus_or_inf(self.b))
+        return max(_modulus(self.a), _modulus(self.b))
 
     def analytic_label(self, p: float) -> str:
         m = abs(self.a) * abs(self.b)
@@ -523,24 +512,6 @@ class PowerLawBeta:
 
 
 WeightSequence = Union[Constant, Explicit, BalancedBlocks, PowerLawBeta]
-
-
-def weight_at(w: WeightSequence, n: int) -> complex:
-    """The n-th weight, 1-based."""
-    if n < 1:
-        raise ValueError(f"weight index must be >= 1, got {n}")
-    return complex(w.weight_range(n - 1, n)[0])
-
-
-def log_abs_beta(w: WeightSequence, n: int) -> float:
-    """log |beta(n)| for beta(n) = w_1 * ... * w_n, with beta(0) = 1.
-
-    The n-th entry of the family's ``log_abs_profile``, so it never
-    overflows and has the bits of the profile that ``dynamics`` classifies.
-    """
-    if n < 0:
-        raise ValueError(f"beta index must be >= 0, got {n}")
-    return float(w.log_abs_profile(n - 1, n)[0]) if n else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 
 from shiftlab import (
     Constant,
+    FinSeqVector,
     ShiftOperator,
     beta_profile,
     build_conjugator,
@@ -29,13 +30,11 @@ from shiftlab import (
     example3_point,
     g_map,
     h_map,
-    log_abs_beta,
     lp_norm,
     make_example,
     max_coord_diff,
     orbit_norms,
     random_vectors,
-    scale,
     subtract,
     tail_power_sums,
 )
@@ -121,13 +120,13 @@ def test_criterion_05_homogeneity():
             if not x.coords:
                 continue
             for s in (0.5, 2.0, 3.7):
-                lhs = h_map(scale(x, lam), s)
-                rhs = scale(h_map(x, s), lam**s)
+                lhs = h_map(FinSeqVector(p, tuple(lam * c for c in x.coords)), s)
+                rhs = FinSeqVector(p, tuple(lam**s * c for c in h_map(x, s).coords))
                 ref = max(abs(c) for c in rhs.coords)
                 if ref > 0.0:
                     worst_h = max(worst_h, max_coord_diff(lhs, rhs) / ref)
-            lhs = g_map(scale(x, lam), q)
-            rhs = scale(g_map(x, q), lam ** (p / q))
+            lhs = g_map(FinSeqVector(p, tuple(lam * c for c in x.coords)), q)
+            rhs = FinSeqVector(q, tuple(lam ** (p / q) * c for c in g_map(x, q).coords))
             ref = max(abs(c) for c in rhs.coords)
             if ref > 0.0:
                 worst_g = max(worst_g, max_coord_diff(lhs, rhs) / ref)
@@ -151,7 +150,7 @@ def test_criterion_06_example1_profile_and_class():
 def test_criterion_07_example2_class_and_boundaries():
     t2 = make_example("T2")
     v = classify(t2.weights, t2.p)
-    worst = max(abs(log_abs_beta(t2.weights, k * (k + 1))) for k in range(1, 1001))
+    worst = max(abs(t2.weights.log_abs_profile(k * (k + 1) - 1, k * (k + 1))[0]) for k in range(1, 1001))
     ok = v.label == "TransitiveNotMixing" and worst <= 1e-10
     _line("07", ok, f"T2 verdict {v.label.value}; pair-boundary |log beta| <= {worst:.2e} for k <= 1000")
     assert ok

@@ -30,7 +30,6 @@ from shiftlab import (
     map_to_dict,
     max_coord_diff,
     random_vectors,
-    scale,
     subtract,
     tail_power_sums,
 )
@@ -125,8 +124,8 @@ def test_h_map_preserves_phases():
 @pytest.mark.parametrize("s", [0.5, 2.0, 3.7])
 def test_h_map_homogeneity(lam, s):
     for x in random_vectors(25, 2.0, seed=7, support_range=(1, 24)):
-        lhs = h_map(scale(x, lam), s)
-        rhs = scale(h_map(x, s), lam**s)
+        lhs = h_map(FinSeqVector(x.p, tuple(lam * c for c in x.coords)), s)
+        rhs = FinSeqVector(x.p, tuple(lam**s * c for c in h_map(x, s).coords))
         scale_ref = max(abs(c) for c in rhs.coords)
         assert max_coord_diff(lhs, rhs) <= 1e-10 * scale_ref
 
@@ -190,8 +189,8 @@ def test_g_map_inverse_roundtrip(coords, p, q):
 def test_g_map_homogeneity(lam):
     p, q = 2.0, 4.0
     for x in random_vectors(25, p, seed=8, support_range=(1, 24)):
-        lhs = g_map(scale(x, lam), q)
-        rhs = scale(g_map(x, q), lam ** (p / q))
+        lhs = g_map(FinSeqVector(p, tuple(lam * c for c in x.coords)), q)
+        rhs = FinSeqVector(q, tuple(lam ** (p / q) * c for c in g_map(x, q).coords))
         scale_ref = max(abs(c) for c in rhs.coords)
         assert max_coord_diff(lhs, rhs) <= 1e-10 * scale_ref
 
@@ -210,6 +209,17 @@ def test_g_map_overflow_is_a_range_error():
     # the modulus of 1.5e308 + 1.5e308j is itself beyond float range
     with pytest.raises(RangeError, match="coordinate 1"):
         g_map(FinSeqVector(2.0, (complex(1.5e308, 1.5e308), 1)), 4.0)
+
+
+def test_g_map_of_a_nan_coordinate_is_nan_after_any_earlier_overflow():
+    # abs() of a complex with a nan part can raise a stale OverflowError
+    # that an earlier caught overflow left behind
+    try:
+        1e200**2.0
+    except OverflowError:
+        pass
+    image = g_map(FinSeqVector(2.0, (complex(math.nan, 0), 1)), 4.0)
+    assert cmath.isnan(image.coords[0]) and image.coords[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +247,8 @@ def test_diag_step_multiplies_geometric_phases():
     st_ = DiagStep(2.0, 1j)
     y = st_.apply(FinSeqVector(2.0, (1, 1, 1, 1)))
     assert y.coords == (1 + 0j, 1j, -1 + 0j, -1j)
+    with pytest.raises(ValueError, match="step acts on l"):
+        st_.apply(FinSeqVector(1.0, (1,)))
 
 
 def test_conjugacy_map_validates_chain():
@@ -257,8 +269,8 @@ def test_conjugacy_map_apply_checks_exponent():
 def test_empty_map_is_identity():
     phi = ConjugacyMap((), 2.0, 2.0)
     x = FinSeqVector(2.0, (1, 2j))
-    assert phi(x) == x
-    assert phi.inverse()(x) == x
+    assert phi.apply(x) == x
+    assert phi.inverse().apply(x) == x
 
 
 def test_composite_inverse_roundtrip():
@@ -266,7 +278,7 @@ def test_composite_inverse_roundtrip():
     inv = phi.inverse()
     assert inv.domain_p == 4.0 and inv.codomain_p == 2.0
     for x in random_vectors(20, 2.0, seed=5, support_range=(1, 16)):
-        back = inv(phi(x))
+        back = inv.apply(phi.apply(x))
         assert lp_norm(subtract(back, x)) <= 1e-9 * max(lp_norm(x), 1e-300)
 
 
@@ -370,7 +382,7 @@ def test_residual_report_structure_and_determinism():
     a = conjugacy_residual(s, t, phi, samples=30, seed=9)
     b = conjugacy_residual(s, t, phi, samples=30, seed=9)
     assert a == b
-    residuals = [lp_norm(subtract(phi(apply_shift(s, x)), apply_shift(t, phi(x)))) for x in random_vectors(30, 2.0, 9)]
+    residuals = [lp_norm(subtract(phi.apply(apply_shift(s, x)), apply_shift(t, phi.apply(x)))) for x in random_vectors(30, 2.0, 9)]
     assert a.sample_count == 30
     assert a.max_residual == residuals[a.worst_index] == max(residuals)
     assert a.to_dict()["seed"] == 9
@@ -380,8 +392,10 @@ def test_residual_report_structure_and_determinism():
 
 def test_residual_rejects_exponent_mismatch():
     phi = build_conjugator(2, 2.0, 4, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map domain"):
         conjugacy_residual(ShiftOperator(Constant(2), 1.0), ShiftOperator(Constant(4), 2.0), phi)
+    with pytest.raises(ValueError, match="map codomain"):
+        conjugacy_residual(ShiftOperator(Constant(2), 2.0), ShiftOperator(Constant(4), 1.0), phi)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,9 @@ from shiftlab import (
     classify,
     escape_demo,
     example3_point,
-    log_abs_beta,
     lp_norm,
     make_example,
     orbit_norms,
-    weight_at,
 )
 from shiftlab import dynamics
 from shiftlab.dynamics import (
@@ -149,6 +147,15 @@ def test_classify_explicit_mixing_profile():
     assert v.confidence == Confidence.NUMERIC_EVIDENCE
 
 
+def test_classify_explicit_transitive_not_mixing_profile():
+    # T2's weights listed explicitly: at horizon 10^4 the tail window of 100
+    # positions peaks at 2^100 but dips back to 2, so it is transitive only
+    t2 = make_example("T2").weights
+    v = classify(Explicit(tuple(t2.weight_range(0, 10_000).tolist())), 2.0, 10_000)
+    assert v.label == "TransitiveNotMixing"
+    assert v.confidence == Confidence.NUMERIC_EVIDENCE
+
+
 def test_classify_explicit_slow_growth_is_inconclusive():
     # beta creeps up to ~1.5 over 150 steps: above the head window but far
     # from the escape threshold, so no label is defensible
@@ -217,6 +224,8 @@ def test_evidence_window_is_sqrt_horizon():
     ev = horizon_evidence(Constant(1.0), 2.0, 10_000)
     assert ev.window == 100
     assert ev.horizon == 10_000
+    with pytest.raises(ValueError, match="profile length"):
+        horizon_evidence(Constant(1.0), 2.0, 0)
 
 
 def _full_array_evidence(w, p, horizon):
@@ -410,7 +419,7 @@ def test_beta_profile_explicit_matches_scalar_oracle():
     w = Explicit(ws)
     prof = beta_profile(w, len(ws))
     for n in range(1, len(ws) + 1):
-        assert prof[n - 1] == pytest.approx(log_abs_beta(w, n), abs=1e-12)
+        assert prof[n - 1] == pytest.approx(w.log_abs_profile(n - 1, n)[0], abs=1e-12)
     with pytest.raises(IndexError):
         beta_profile(w, len(ws) + 1)
 
@@ -420,7 +429,7 @@ def test_beta_profile_blocks_matches_scalar_oracle():
     prof = beta_profile(w, 5000)
     sample = list(range(1, 100)) + [512, 999, 1000, 2047, 4999, 5000]
     for n in sample:
-        assert prof[n - 1] == pytest.approx(log_abs_beta(w, n), abs=1e-12)
+        assert prof[n - 1] == pytest.approx(w.log_abs_profile(n - 1, n)[0], abs=1e-12)
 
 
 def test_beta_profile_blocks_boundary_zeros_exact():
@@ -447,16 +456,16 @@ def test_beta_profile_validates_length():
 def test_make_example_t1_weights():
     t1 = make_example("T1")
     assert t1.p == 2.0
-    assert weight_at(t1.weights, 1) == 1
-    assert weight_at(t1.weights, 2) == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert weight_at(t1.weights, 10) == pytest.approx(math.sqrt(10 / 9), rel=1e-15)
+    assert t1.weights.weight_range(0, 1)[0] == 1
+    assert t1.weights.weight_range(1, 2)[0] == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert t1.weights.weight_range(9, 10)[0] == pytest.approx(math.sqrt(10 / 9), rel=1e-15)
 
 
 def test_make_example_t2_t3_weight_listings():
     # first twelve weights, straight from the pair-block layout
-    t2 = [weight_at(make_example("T2").weights, n) for n in range(1, 13)]
+    t2 = [make_example("T2").weights.weight_range(n - 1, n)[0] for n in range(1, 13)]
     assert t2 == [2, 0.5, 2, 2, 0.5, 0.5, 2, 2, 2, 0.5, 0.5, 0.5]
-    t3 = [weight_at(make_example("T3").weights, n) for n in range(1, 13)]
+    t3 = [make_example("T3").weights.weight_range(n - 1, n)[0] for n in range(1, 13)]
     assert t3 == [0.5, 2, 0.5, 0.5, 2, 2, 0.5, 0.5, 0.5, 2, 2, 2]
 
 
@@ -477,14 +486,14 @@ def test_example_classifications():
 
 def test_example3_point_listings():
     x1 = example3_point(1)
-    assert x1.support_length == 2
+    assert len(x1.coords) == 2
     assert x1.coords == (0j, 1 + 0j)
     x2 = example3_point(2)
-    assert x2.support_length == 6
-    assert x2.coord(2) == 1 and x2.coord(6) == 0.5
+    assert len(x2.coords) == 6
+    assert x2.coords[1] == 1 and x2.coords[5] == 0.5
     x3 = example3_point(3)
-    assert x3.support_length == 12
-    assert x3.coord(12) == 0.25
+    assert len(x3.coords) == 12
+    assert x3.coords[11] == 0.25
     assert sum(1 for c in x3.coords if c != 0) == 3
     with pytest.raises(ValueError):
         example3_point(0)
@@ -519,7 +528,7 @@ def test_example3_orbit_step_witness_is_exact():
     y = example3_point(6)
     for n in range(1, 6):
         y = apply_shift(t3, y)  # T3^n x
-        witness = y.coord((n + 1) * (n + 2) - n)
+        witness = y.coords[(n + 1) * (n + 2) - n - 1]
         assert witness == 1.0
 
 
