@@ -138,12 +138,15 @@ def _norm_from_moduli(moduli: list[float], p: float) -> float:
     largest modulus M is factored out (J. L. Blue, ACM TOMS 4, 1978;
     E. Anderson, ACM TOMS 44, 2017): M * (sum (m/M)**p)**(1/p).  Sums that
     fit never take that branch, so their bits are those of the direct form.
-    The result is inf (or nan) when the norm is beyond float range.
+    The result is inf when the norm is beyond float range or a modulus is
+    inf, and nan when a modulus is nan.
     """
     try:
         return math.fsum([m**p for m in moduli]) ** (1.0 / p)
     except OverflowError:
         top = max(moduli)
+        if top == math.inf:  # inf/inf would be nan; the sum of the moduli is inf, or nan with a nan
+            return math.fsum(moduli)
         return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
 
 
@@ -154,11 +157,7 @@ def lp_norm(x: FinSeqVector) -> float:
     factored out, so the norm is finite whenever it fits in a float.  It is
     inf when a modulus is beyond float range and nan for a nan coordinate.
     """
-    try:
-        moduli = list(map(abs, x.coords))
-    except OverflowError:
-        moduli = list(map(_modulus, x.coords))
-    return _norm_from_moduli(moduli, x.p)
+    return _norm_from_moduli(list(map(_modulus, x.coords)), x.p)
 
 
 def _moduli_and_powers(x: FinSeqVector) -> tuple[list[float], list[float]]:
@@ -217,10 +216,10 @@ def _tail_range_error(x: FinSeqVector) -> RangeError:
     powers: list[float] = []
     for k, c in zip(range(len(x.coords), 0, -1), reversed(x.coords)):
         try:
-            # abs() of a complex with a nan part can raise a stale OverflowError left
-            # by an earlier overflow; math.hypot gives its modulus, nan or inf, plainly
-            v = (abs(c) if cmath.isfinite(c) else math.hypot(c.real, c.imag)) ** x.p
+            v = _modulus(c) ** x.p
         except OverflowError:
+            v = math.inf
+        if v == math.inf and cmath.isfinite(c):  # |x_n| or its power is beyond float range
             error = RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
             break
         if not math.isfinite(v):  # v + inf is inf, or nan for a nan power

@@ -83,6 +83,9 @@ def test_lp_norm_of_a_nan_coordinate_is_nan_after_any_earlier_overflow():
     assert math.isnan(lp_norm(FinSeqVector(2.0, (complex(math.nan, 0), 1))))
     # a modulus beyond float range makes the norm inf, as a norm beyond it does
     assert lp_norm(FinSeqVector(2.0, (1, complex(1.5e308, 1.5e308)))) == math.inf
+    # also when another coordinate's power overflows first
+    assert lp_norm(FinSeqVector(2.0, (1e200, complex(1.5e308, 1.5e308)))) == math.inf
+    assert math.isnan(lp_norm(FinSeqVector(2.0, (1e200, complex(1.5e308, 1.5e308), complex(math.nan, 0)))))
 
 
 @given(vectors)
@@ -171,6 +174,8 @@ INF, NAN = complex(math.inf, 0.0), complex(math.nan, 0.0)
         # every power is at least 2**53, so the tails are integers over 2**0
         (2.0, (1e154, 1e154), "tail power sum from coordinate 1 is inf: it left float range"),
         (1.0, (2.0**53, sys.float_info.max, sys.float_info.max), "tail power sum from coordinate 2 is inf: it left float range"),
+        # a finite coordinate whose modulus itself is beyond float range
+        (2.0, (NAN, complex(1.5e308, 1.5e308)), "|x_n|**p at coordinate 2 is beyond float range"),
     ],
 )
 @pytest.mark.parametrize("kernel", [tail_power_sums, lambda x: h_map(x, 0.5)], ids=["tail_power_sums", "h_map"])
