@@ -89,8 +89,6 @@ class ClassMismatchError(ValueError):
     """Raised when asked to conjugate shifts from different modulus classes."""
 
     def __init__(self, lam: complex, omega: complex, chi_source: int, chi_target: int):
-        self.lam = lam
-        self.omega = omega
         self.chi_source = chi_source
         self.chi_target = chi_target
         super().__init__(

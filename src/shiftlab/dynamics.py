@@ -473,14 +473,15 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
     The product is written out as Python's complex multiplication computes
     it, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, and the moduli come from
     ``np.hypot``, which is what ``abs`` of a Python complex calls: numpy's
-    complex128 product and modulus do not round the same way.  The power sum
-    stays ``_norm_from_moduli``, since numpy's ``power`` does not round as
-    Python's ``**`` does either.  Once the support runs out the norms are 0.
+    complex128 product and modulus do not round the same way.  The powers
+    come from ``np.float_power``, which calls libm's ``pow`` per lane as
+    Python's ``**`` does; ``np.power`` does not round the same way either
+    (see ``_finite_norm``).  Once the support runs out the norms are 0.
     """
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_finite_norm(np.hypot(re, im).tolist(), x.p, 0)]
+        norms = [_finite_norm(np.hypot(re, im), x.p, 0)]
         if n >= 1:
             if x.p != t.p:
                 raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
@@ -491,14 +492,28 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
                 c, d = re[1:], im[1:]
                 m = len(c)
                 re, im = a[:m] * c - b[:m] * d, a[:m] * d + b[:m] * c
-                norms.append(_finite_norm(np.hypot(re, im).tolist(), x.p, k))
+                norms.append(_finite_norm(np.hypot(re, im), x.p, k))
             norms.extend([0.0] * (n - live))
     return norms
 
 
-def _finite_norm(moduli: list[float], p: float, step: int) -> float:
-    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite."""
-    norm = _norm_from_moduli(moduli, p)
+def _finite_norm(moduli: np.ndarray, p: float, step: int) -> float:
+    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite.
+
+    ``np.float_power`` calls libm's ``pow`` lane by lane, as Python's ``**``
+    does, so its powers are bit for bit ``m**p`` and a finite power sum is
+    what ``_norm_from_moduli`` gives; ``np.power`` is vectorized and does
+    not round the same way.  ``tests/test_dynamics.py`` pins that.  A sum
+    that overflows, or is inf or nan, is left to ``_norm_from_moduli``,
+    which decides the scaled branch and the inf and nan results in one
+    place.  Call it under ``np.errstate(over="ignore")``: a power beyond
+    float range is inf here, where ``**`` raises.
+    """
+    try:
+        total = math.fsum(np.float_power(moduli, p).tolist())
+    except OverflowError:  # finite powers whose sum is beyond float range
+        total = math.inf
+    norm = total ** (1.0 / p) if total < math.inf else _norm_from_moduli(moduli.tolist(), p)
     if not math.isfinite(norm):
         raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
     return norm
@@ -510,9 +525,10 @@ def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> O
     The trace always has n+1 entries; entries past the support length are
     exactly zero and ``valid_horizon`` reports where that happens.  For a
     support of length L the cost is O(L * min(n, L)) float operations on
-    split real and imaginary arrays, which round exactly as the Python
-    complex arithmetic of ``apply_shift`` and ``lp_norm`` does, so the
-    trace is bit for bit that of repeated application.  A norm beyond
+    split real and imaginary arrays, with the powers of each step's moduli
+    from one ``np.float_power`` call.  These round exactly as the Python
+    complex arithmetic and ``**`` of ``apply_shift`` and ``lp_norm`` do, so
+    the trace is bit for bit that of repeated application.  A norm beyond
     float range raises ``RangeError`` naming its step.
     """
     if n < 0:
@@ -533,13 +549,13 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     lam^(k-1) e_1.  So only that one coordinate is carried.  lam^k is formed
     from lam^(k-1) by Python's complex product (ac - bd) + (ad + bc)i on
     split parts, its modulus by ``np.hypot``, and its norm by
-    ``_norm_from_moduli``: bit for bit the trace of the orbit of e_n under
-    ``orbit_norms``, whose other coordinates are exact zeros.  The trace
-    demonstrates geometric escape (|lam| > 1), constancy (|lam| = 1), or
-    decay to 0 (|lam| < 1) along a single family of unit vectors.  Every
-    step is within each vector's support, so the whole trace is valid:
-    ``valid_horizon`` = n - 1.  A norm beyond float range raises
-    ``RangeError`` naming its step.
+    ``_finite_norm`` of that one modulus: bit for bit the trace of the
+    orbit of e_n under ``orbit_norms``, whose other coordinates are exact
+    zeros.  The trace demonstrates geometric escape (|lam| > 1), constancy
+    (|lam| = 1), or decay to 0 (|lam| < 1) along a single family of unit
+    vectors.  Every step is within each vector's support, so the whole
+    trace is valid: ``valid_horizon`` = n - 1.  A norm beyond float range
+    raises ``RangeError`` naming its step.
     """
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
@@ -548,7 +564,7 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     norms = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            norms.append(_finite_norm([float(np.hypot(c, d))], t.p, k))
+            norms.append(_finite_norm(np.hypot([c], [d]), t.p, k))
             c, d = a * c - b * d, a * d + b * c
     return OrbitTrace(
         norms=tuple(norms),

@@ -606,11 +606,54 @@ def _orbit_cases(draw):
 
 
 @given(_orbit_cases())
+# power sums that overflow from about step 507 on, and single powers from about 510 on, while every norm fits
+@example((ShiftOperator(Constant(2), 2.0), FinSeqVector(2.0, (3 + 4j, 1 - 2j) * 300), 599))
+# finite parts whose modulus is inf at step 3, after power sums that overflow at steps 0-2
+@example((ShiftOperator(Constant(1.1), 2.0), FinSeqVector(2.0, (1, 1, 1, 1, 1e308 + 1e308j)), 4))
+# a nan coordinate beside a power that overflows
+@example((ShiftOperator(Constant(2), 2.0), FinSeqVector(2.0, (1e200, complex(math.nan, 0.0))), 1))
 @settings(max_examples=150)
 def test_orbit_norms_bit_identical_to_repeated_application(case):
+    # the same norms, or a RangeError naming the first step whose norm is inf or nan
     t, x, n = case
-    got = orbit_norms(t, x, n).norms
-    assert [v.hex() for v in got] == [v.hex() for v in _iterated_norms(t, x, n)]
+    want = _iterated_norms(t, x, n)
+    bad = next((k for k, v in enumerate(want) if not math.isfinite(v)), None)
+    if bad is None:
+        assert [v.hex() for v in orbit_norms(t, x, n).norms] == [v.hex() for v in want]
+    else:
+        with pytest.raises(RangeError, match=f"step {bad} is {want[bad]!r}:"):
+            orbit_norms(t, x, n)
+
+
+def _pow_or_inf(m, p):
+    try:
+        return m**p
+    except OverflowError:
+        return math.inf
+
+
+def test_float_power_is_python_pow_bit_for_bit():
+    # orbit norms take their powers from np.float_power because its float64
+    # loop calls libm's pow lane by lane, as Python's ** does; np.power is
+    # vectorized and rounds differently.  A numpy whose float_power stops
+    # matching ** must fail here, not deep in the golden corpus.
+    rng = np.random.default_rng(15)
+    tiny = np.finfo(np.float64).smallest_normal
+    edge = np.array(math.sqrt(np.finfo(np.float64).max))  # m**2 overflows just above this
+    moduli = np.concatenate(
+        [
+            [0.0, 1.0, 5e-324, tiny],
+            np.ldexp(rng.random(2000), -rng.integers(1022, 1075, 2000)),  # subnormals of every exponent
+            np.exp(rng.uniform(-745.0, 709.7, 20000)),
+            (edge.view(np.int64) + rng.integers(-1000, 1000, 2000)).view(np.float64),  # ulps around the edge
+        ]
+    )
+    for p in (1.0, 1.5, 2.0, 3.0, 8.0, 1 / 3, 0.5):
+        want = np.array([_pow_or_inf(m, p) for m in moduli.tolist()])
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.float_power(moduli, p)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, f"p = {p!r}: {differ.size} lanes differ, first m = {moduli[differ[0]]!r}"
 
 
 def test_orbit_norms_checks_operator_only_when_stepping():
