@@ -1,7 +1,7 @@
 """Wall time and memory of the shiftlab CLI and of its kernels, in one JSON file.
 
-    python3 bench/run.py --out BENCH_13.json
-    python3 bench/run.py --compare BENCH_12.json BENCH_13.json
+    python3 bench/run.py --out BENCH_16.json
+    python3 bench/run.py --compare BENCH_15.json BENCH_16.json
 
 Run from the root of a checkout: shiftlab is imported from ``src/``.  The
 script uses the standard library and numpy only, and takes about 50 s on a
@@ -114,10 +114,10 @@ def _kernels() -> dict:
     def on_vector(kernel, p, *args):
         return lambda n: partial(kernel, vector(n, p), *args)
 
-    def residual(samples):
-        phi = build_conjugator(2.0, 2.0, 4.0, 3.0)
-        source, target = ShiftOperator(Constant(2.0), 2.0), ShiftOperator(Constant(4.0), 3.0)
-        return partial(conjugacy_residual, source, target, phi, samples=samples, seed=1)
+    def residual(lam, p, omega, q):
+        phi = build_conjugator(lam, p, omega, q)
+        source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(omega), q)
+        return lambda samples: partial(conjugacy_residual, source, target, phi, samples=samples, seed=1)
 
     t1, t2, t3 = make_example("T1"), make_example("T2"), make_example("T3")
 
@@ -137,7 +137,9 @@ def _kernels() -> dict:
         "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
         "conjugacy.h_map": ((512, 2048, 8192), on_vector(h_map, 2.0, 2.0)),
         "conjugacy.g_map": ((1024, 4096, 16384), on_vector(g_map, 2.0, 4.0)),
-        "conjugacy.conjugacy_residual": ((25, 100, 400), residual),
+        "conjugacy.conjugacy_residual": ((25, 100, 400), residual(2.0, 2.0, 4.0, 3.0)),
+        # a conjugator with all four step kinds: diag, h, g, diag
+        "conjugacy.conjugacy_residual[complex]": ((25, 100, 400), residual(2j, 1.5, complex(-1.2, 0.9), 2.0)),
         "dynamics.orbit_norms": ((128, 512, 2048), lambda n: partial(orbit_norms, t3, vector(n, 2.0), n)),
         "dynamics.escape_demo": ((100, 400, 1600), lambda n: partial(escape_demo, 1.5, 2.0, n)),
         "dynamics.beta_profile": ((250_000, 1_000_000, 4_000_000), lambda n: partial(beta_profile, t2.weights, n)),

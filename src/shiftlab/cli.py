@@ -98,7 +98,7 @@ DEFAULT_P = 2.0
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100
 MAX_HORIZON = 10**9  # the evidence sweep is O(horizon): 10-15 s at the maximum
-MAX_SAMPLES = 10**5  # one sample vector after another: about 30 s at the maximum
+MAX_SAMPLES = 10**5  # about 8 s and 51 MB at the maximum on a 2-core Xeon
 MAX_LENGTH = 10**6  # orbit steps and point supports, each one list entry or more
 MAX_ORBIT_WORK = 10**8  # min(--n, L) * L for a point of length L: about 8-18 s at the maximum
 

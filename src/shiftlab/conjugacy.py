@@ -27,29 +27,49 @@ difference t_n**s - t_{n+1}**s is evaluated through
 tails are within a factor of two, so nearly equal tails never cancel
 catastrophically.  Residuals of assembled conjugators stay below 1e-9 on
 coordinate boxes of size 10 with supports up to 64 (see the test suite).
+
+Every map has one implementation, a kernel on a ``seqspace._Batch``: many
+vectors side by side as split real and imaginary float64 lanes.  The
+public functions run it on a batch of one, and ``conjugacy_residual`` runs
+all its samples through shift, steps, subtraction and norm as one batch.
+Each lane has the bits of the per-coordinate Python expression: moduli by
+``np.hypot`` (what ``abs`` calls), powers by ``np.float_power`` (libm's
+``pow`` per lane, as ``**``), complex products and quotients written out as
+CPython 3.11 computes them.  Two parts stay scalar Python: ``math.log1p``
+and ``math.expm1``, mapped over only the lanes that take the expm1 form,
+because numpy's versions round differently in 8-9 % of lanes; and the
+exact integer tail sums, one pass per vector.  Errors are those of one
+vector after another: when a batch raises, its vectors go through again
+one at a time.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
+import sys
 from dataclasses import asdict, dataclass
+from itertools import accumulate, islice, repeat
 from typing import Union
+
+import numpy as np
 
 from .seqspace import (
     FinSeqVector,
     RangeError,
     ShiftOperator,
+    _Batch,
     _checked_weight,
-    _moduli_and_powers,
     _modulus,
+    _norms,
+    _one,
     _pair,
-    _tail_sums,
-    apply_shift,
+    _powers,
+    _random_parts,
+    _shift,
+    _subtract,
+    _tails,
     check_exponent,
-    lp_norm,
-    random_vectors,
-    subtract,
 )
 
 __all__ = [
@@ -97,23 +117,103 @@ class ClassMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the coordinatewise maps
+# the coordinatewise maps, on batches of vectors
 
 
-def _pow_diff(a: float, b: float, d: float, s: float) -> float:
-    """a**s - b**s for a = b + d >= b >= 0, stable when a and b nearly agree.
+def _rescaled(x: _Batch, m: np.ndarray, f: np.ndarray, p: float) -> _Batch:
+    """(c / m) * f in every lane c of ``x``, and +0j where the modulus m is 0.
 
-    ``d`` must be the exact increment.  For a < 2b the difference is
-    b**s * expm1(s * log1p(d / b)), which has small relative error even
-    when a**s and b**s agree to many digits; otherwise direct subtraction
-    is safe.
+    CPython 3.11 turns the float operand into a complex with a +0.0
+    imaginary part, so the quotient is ``_Py_c_quot`` and the product
+    ``_Py_c_prod`` on such a complex, written out here: they decide the
+    sign of a zero part and what an inf or nan part becomes.
     """
-    if b == 0.0:
-        return a**s
-    r = d / b
-    if r < 1.0:
-        return (b**s) * math.expm1(s * math.log1p(r))
-    return a**s - b**s
+    re, im = x.re, x.im
+    with np.errstate(all="ignore"):
+        qr, qi = (re + im * 0.0) / m, (im - re * 0.0) / m
+        re, im = qr * f - qi * 0.0, qr * 0.0 + qi * f
+    zero = m == 0.0
+    re[zero] = im[zero] = 0.0
+    return _Batch(p, re, im, x.bounds)
+
+
+def _lane_error(x: _Batch, bad: np.ndarray, message) -> RangeError:
+    """``message(n)`` for the first lane where ``bad`` holds, n its coordinate in its vector."""
+    lane = int(np.argmax(bad))
+    return RangeError(message(int(x.positions()[lane]) + 1))
+
+
+# math.expm1 overflows exactly above this
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _expm1(values: list[float]) -> list[float]:
+    """``math.expm1`` of each value, inf where it overflows."""
+    try:
+        return list(map(math.expm1, values))
+    except OverflowError:
+        return [math.expm1(v) if v <= _LOG_MAX else math.inf for v in values]
+
+
+def _h(x: _Batch, s: float) -> _Batch:
+    """``h_map`` of every vector of ``x``.
+
+    With tails a = t_n and b = t_(n+1) and the exact increment d = |x_n|**p,
+    the difference a**s - b**s is taken directly when b == 0 or d >= b, and
+    as b**s * expm1(s * log1p(d / b)) otherwise, so nearly equal tails never
+    cancel.  Every t**s comes from one ``np.float_power`` call; ``log1p`` and
+    ``expm1`` stay scalar ``math`` calls on only the lanes of the second
+    form, because numpy's versions round differently in 8-9 % of lanes.
+    """
+    if not math.isfinite(s) or s <= 0.0:
+        raise ValueError(f"exponent s must be finite and > 0, got {s!r}")
+    m, d = _powers(x)
+    a = _tails(d, x.bounds)
+    last = x.bounds[1:][np.diff(x.bounds) > 0] - 1  # the last lane of every vector, where b = 0
+    with np.errstate(all="ignore"):
+        a_s = np.float_power(a, s)
+        b, b_s = np.empty_like(a), np.empty_like(a)
+        b[:-1], b_s[:-1] = a[1:], a_s[1:]
+        b[last] = b_s[last] = 0.0
+        r = d / b
+        near = (m != 0.0) & (b != 0.0) & (r < 1.0)
+        diff = np.where(b == 0.0, a_s, a_s - b_s)
+        diff[a_s == math.inf] = math.inf  # a**s raises before b**s is taken
+        lanes = np.flatnonzero(near)
+        v = s * np.array(list(map(math.log1p, r[lanes].tolist())))
+        e = np.array(_expm1(v.tolist()))
+        near_bs = b_s[lanes]
+        diff[lanes] = np.where((near_bs == math.inf) | (e == math.inf), math.inf, near_bs * e)
+    bad = (diff == math.inf) & (m != 0.0)
+    if bad.any():
+        raise _lane_error(x, bad, lambda n: f"h_map image at coordinate {n} is beyond float range (s = {s!r})")
+    with np.errstate(all="ignore"):
+        f = np.float_power(diff, 1.0 / x.p)
+    return _rescaled(x, m, f, x.p)
+
+
+def _g(x: _Batch, q: float) -> _Batch:
+    """``g_map`` of every vector of ``x``."""
+    p = check_exponent(q)
+    m = x.moduli()
+    with np.errstate(all="ignore"):
+        f = np.float_power(m, x.p / q)
+        huge = (m == math.inf) & np.isfinite(x.re) & np.isfinite(x.im)  # finite parts, modulus beyond range
+        bad = huge | ((f == math.inf) & (m < math.inf))
+    if bad.any():
+        if huge[np.argmax(bad)]:
+            raise _lane_error(x, bad, lambda n: f"|x_n| at coordinate {n} is beyond float range")
+        raise _lane_error(x, bad, lambda n: f"g_map image at coordinate {n} is beyond float range (q = {q!r})")
+    return _rescaled(x, m, f, p)
+
+
+def _diag(x: _Batch, ratio: complex) -> _Batch:
+    """Lane n-1 of every vector times ratio**(n-1), the powers by running product."""
+    pos = x.positions()
+    factors = np.array(list(accumulate(repeat(ratio, int(pos.max(initial=0))), operator.mul, initial=1 + 0j)))
+    a, b = factors.real[pos], factors.imag[pos]
+    with np.errstate(all="ignore"):
+        return _Batch(x.p, a * x.re - b * x.im, a * x.im + b * x.re, x.bounds)
 
 
 def h_map(x: FinSeqVector, s: float) -> FinSeqVector:
@@ -125,25 +225,9 @@ def h_map(x: FinSeqVector, s: float) -> FinSeqVector:
     image has the same support pattern as x (as long as |x_n|**p does not
     underflow), and ``h_map(h_map(x, s), 1/s)`` recovers x up to rounding.
     An image coordinate beyond float range raises ``RangeError`` naming it.
+    This is the batch kernel ``_h`` on a batch of one vector.
     """
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"exponent s must be finite and > 0, got {s!r}")
-    moduli, powers = _moduli_and_powers(x)
-    tails = _tail_sums(x, powers)
-    inv_p = 1.0 / x.p
-    coords = []
-    for n, (c, m, d, a, b) in enumerate(zip(x.coords, moduli, powers, tails, tails[1:]), 1):
-        if not m:
-            coords.append(0j)
-            continue
-        try:
-            diff = _pow_diff(a, b, d, s)
-        except OverflowError:
-            diff = math.inf
-        if diff == math.inf:  # the expm1 branch can also overflow without raising
-            raise RangeError(f"h_map image at coordinate {n} is beyond float range (s = {s!r})")
-        coords.append((c / m) * diff**inv_p)
-    return FinSeqVector(x.p, tuple(coords))
+    return _h(_one(x), s).vectors()[0]
 
 
 def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
@@ -153,23 +237,10 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
     the q-th power sum of the image equals the p-th power sum of x
     coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.  A
     coordinate whose modulus or image is beyond float range raises
-    ``RangeError`` naming it.
+    ``RangeError`` naming it.  This is the batch kernel ``_g`` on a batch
+    of one vector: moduli by ``np.hypot``, powers by ``np.float_power``.
     """
-    check_exponent(q)
-    e = x.p / q
-    coords = []
-    for i, c in enumerate(x.coords):
-        if c == 0:
-            coords.append(0j)
-            continue
-        m = _modulus(c)
-        if m == math.inf and cmath.isfinite(c):
-            raise RangeError(f"|x_n| at coordinate {i + 1} is beyond float range")
-        try:
-            coords.append((c / m) * m**e)
-        except OverflowError:
-            raise RangeError(f"g_map image at coordinate {i + 1} is beyond float range (q = {q!r})") from None
-    return FinSeqVector(q, tuple(coords))
+    return _g(_one(x), q).vectors()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +275,9 @@ class HStep(_EndoStep):
     def apply(self, x: FinSeqVector) -> FinSeqVector:
         return h_map(x, self.s)
 
+    def on_batch(self, x: _Batch) -> _Batch:
+        return _h(x, self.s)
+
     def inverse(self) -> "HStep":
         return HStep(self.p, 1.0 / self.s)
 
@@ -228,6 +302,9 @@ class GStep:
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
         return g_map(x, self.q)
+
+    def on_batch(self, x: _Batch) -> _Batch:
+        return _g(x, self.q)
 
     def inverse(self) -> "GStep":
         return GStep(self.q, self.p)
@@ -258,14 +335,10 @@ class DiagStep(_EndoStep):
         """Multiply coordinate n by ratio**(n-1), by running product."""
         if x.p != self.p:
             raise ValueError(f"step acts on l^{self.p} but vector is in l^{x.p}")
-        ratio = self.ratio
-        coords = []
-        factor = 1 + 0j
-        for i, c in enumerate(x.coords):
-            if i:
-                factor *= ratio
-            coords.append(factor * c)
-        return FinSeqVector(x.p, tuple(coords))
+        return _diag(_one(x), self.ratio).vectors()[0]
+
+    def on_batch(self, x: _Batch) -> _Batch:
+        return _diag(x, self.ratio)
 
     def inverse(self) -> "DiagStep":
         return DiagStep(self.p, 1 / self.ratio)
@@ -304,6 +377,11 @@ class ConjugacyMap:
             raise ValueError(f"map acts on l^{self.domain_p} but vector is in l^{x.p}")
         for st in self.steps:
             x = st.apply(x)
+        return x
+
+    def on_batch(self, x: _Batch) -> _Batch:
+        for st in self.steps:
+            x = st.on_batch(x)
         return x
 
     def inverse(self) -> "ConjugacyMap":
@@ -412,6 +490,29 @@ class ResidualReport:
         return asdict(self)
 
 
+# samples per batch, drawn as they are needed: numpy gains nothing more
+# past some thousands of coordinates, while the memory a batch takes grows
+# with it
+_BATCH = 1000
+
+
+def _residuals(source: ShiftOperator, target: ShiftOperator, phi: ConjugacyMap, parts: list) -> list[float]:
+    """||phi(source x) - target(phi x)|| of every vector x given by its parts, as one batch.
+
+    When the batch raises, the vectors go through again one at a time, so
+    the error is that of the first vector in order that fails, and within
+    it the left side's before the right side's, as a loop would raise it.
+    """
+    try:
+        x = _Batch.of(source.p, parts)
+        diff = _subtract(phi.on_batch(_shift(source, x)), _shift(target, phi.on_batch(x)))
+        return _norms(diff.moduli(), diff.bounds.tolist(), diff.p)
+    except (ArithmeticError, LookupError, ValueError):
+        if len(parts) == 1:
+            raise
+        return [r for one in parts for r in _residuals(source, target, phi, [one])]
+
+
 def conjugacy_residual(
     source: ShiftOperator,
     target: ShiftOperator,
@@ -421,9 +522,13 @@ def conjugacy_residual(
 ) -> ResidualReport:
     """Max of ||phi(source x) - target(phi x)||_target over random vectors.
 
-    Vectors are drawn by ``random_vectors`` (support length uniform on
-    1..64, coordinates in the complex box of half-side 10), so reports are
-    reproducible from the seed alone.
+    Vectors are drawn as ``random_vectors`` draws them (support length
+    uniform on 1..64, coordinates in the complex box of half-side 10), so
+    reports are reproducible from the seed alone.  The samples go through
+    the kernels in batches of up to _BATCH, O(total coordinates) numpy work
+    plus the scalar lanes the module docstring names, with the bits and the
+    errors of one sample after another: the first sample in draw order that
+    fails raises, its left side's error before its right side's.
     """
     if phi.domain_p != source.p:
         raise ValueError(f"map domain l^{phi.domain_p} does not match source l^{source.p}")
@@ -431,11 +536,9 @@ def conjugacy_residual(
         raise ValueError(f"map codomain l^{phi.codomain_p} does not match target l^{target.p}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    residuals = []
-    for x in random_vectors(samples, source.p, seed):
-        lhs = phi.apply(apply_shift(source, x))
-        rhs = apply_shift(target, phi.apply(x))
-        residuals.append(lp_norm(subtract(lhs, rhs)))
+    draws, residuals = _random_parts(samples, seed), []
+    for _ in range(0, samples, _BATCH):
+        residuals += _residuals(source, target, phi, list(islice(draws, _BATCH)))
     worst = max(range(len(residuals)), key=residuals.__getitem__)
     return ResidualReport(
         max_residual=residuals[worst],

@@ -49,6 +49,7 @@ from .seqspace import (
     ShiftOperator,
     WeightSequence,
     _norm_from_moduli,
+    _power_norm,
     check_exponent,
     weights_to_dict,
 )
@@ -500,23 +501,20 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
 def _finite_norm(moduli: np.ndarray, p: float, step: int) -> float:
     """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite.
 
-    ``np.float_power`` calls libm's ``pow`` lane by lane, as Python's ``**``
-    does, so its powers are bit for bit ``m**p`` and a finite power sum is
-    what ``_norm_from_moduli`` gives; ``np.power`` is vectorized and does
-    not round the same way.  ``tests/test_dynamics.py`` pins that.  A sum
-    that overflows, or is inf or nan, is left to ``_norm_from_moduli``,
-    which decides the scaled branch and the inf and nan results in one
-    place.  Call it under ``np.errstate(over="ignore")``: a power beyond
-    float range is inf here, where ``**`` raises.
+    The powers come from ``np.float_power``, which calls libm's ``pow``
+    lane by lane as Python's ``**`` does (``np.power`` is vectorized and
+    does not round the same way; ``tests/test_dynamics.py`` pins that), and
+    ``_power_norm`` sums them.  Call it under ``np.errstate(over="ignore")``:
+    a power beyond float range is inf here, where ``**`` raises.
     """
-    try:
-        total = math.fsum(np.float_power(moduli, p).tolist())
-    except OverflowError:  # finite powers whose sum is beyond float range
-        total = math.inf
-    norm = total ** (1.0 / p) if total < math.inf else _norm_from_moduli(moduli.tolist(), p)
+    norm = _power_norm(np.float_power(moduli, p).tolist(), moduli, p)
     if not math.isfinite(norm):
-        raise RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
+        raise _orbit_range_error(step, norm)
     return norm
+
+
+def _orbit_range_error(step: int, norm: float) -> RangeError:
+    return RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
 
 
 def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
@@ -548,26 +546,38 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     exactly k-1 shifts, picking up one weight factor per step, and ends as
     lam^(k-1) e_1.  So only that one coordinate is carried.  lam^k is formed
     from lam^(k-1) by Python's complex product (ac - bd) + (ad + bc)i on
-    split parts, its modulus by ``np.hypot``, and its norm by
-    ``_finite_norm`` of that one modulus: bit for bit the trace of the
-    orbit of e_n under ``orbit_norms``, whose other coordinates are exact
-    zeros.  The trace demonstrates geometric escape (|lam| > 1), constancy
-    (|lam| = 1), or decay to 0 (|lam| < 1) along a single family of unit
-    vectors.  Every step is within each vector's support, so the whole
-    trace is valid: ``valid_horizon`` = n - 1.  A norm beyond float range
-    raises ``RangeError`` naming its step.
+    split parts, into two arrays.  Then one ``np.hypot`` call gives every
+    modulus, one ``np.float_power`` every power and one more every norm, as
+    the power to 1/p (the ``math.fsum`` of one power is that power); a lane
+    whose power is not finite takes ``_norm_from_moduli`` of its modulus.
+    That is bit for bit the trace of the orbit of e_n under
+    ``orbit_norms``, whose other coordinates are exact zeros.  The trace
+    demonstrates geometric escape (|lam| > 1), constancy (|lam| = 1), or
+    decay to 0 (|lam| < 1) along a single family of unit vectors.  Every
+    step is within each vector's support, so the whole trace is valid:
+    ``valid_horizon`` = n - 1.  The first norm beyond float range raises
+    ``RangeError`` naming its step.
     """
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
     t = ShiftOperator(Constant(lam), p)
     a, b, c, d = t.weights.value.real, t.weights.value.imag, 1.0, 0.0
-    norms = []
+    re, im = np.empty(n), np.empty(n)
+    for k in range(n):
+        re[k], im[k] = c, d
+        c, d = a * c - b * d, a * d + b * c
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            norms.append(_finite_norm(np.hypot([c], [d]), t.p, k))
-            c, d = a * c - b * d, a * d + b * c
+        m = np.hypot(re, im, out=re)
+        powers = np.float_power(m, t.p, out=im)
+        norms = np.float_power(powers, 1.0 / t.p)  # the fsum of one power is that power
+    off = np.flatnonzero(~np.isfinite(powers))
+    norms[off] = [_norm_from_moduli([v], t.p) for v in m[off].tolist()]
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _orbit_range_error(k, float(norms[k]))
     return OrbitTrace(
-        norms=tuple(norms),
+        norms=tuple(norms.tolist()),
         valid_horizon=n - 1,
         operator=_operator_descriptor(t),
         point="escape:basis",

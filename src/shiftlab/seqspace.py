@@ -49,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, starmap
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -131,6 +131,56 @@ def _modulus(w: complex) -> float:
         return math.hypot(w.real, w.imag)
 
 
+@dataclass(frozen=True, slots=True)
+class _Batch:
+    """Vectors of one l^p side by side: the form every vector kernel runs on.
+
+    Lane i is one coordinate, its real part ``re[i]`` and imaginary part
+    ``im[i]`` as float64; vector j holds lanes ``bounds[j]`` to
+    ``bounds[j+1] - 1``.  The parts stay apart because numpy's complex128
+    product, quotient and modulus do not round as CPython's complex
+    arithmetic does.  Written out on the parts as CPython 3.11 computes
+    them, with moduli from ``np.hypot`` (what ``abs`` calls) and powers
+    from ``np.float_power`` (libm's ``pow`` per lane, as ``**``), every lane
+    has the bits of the Python expression.  A public vector function is its
+    kernel run on a batch of one.
+    """
+
+    p: float
+    re: np.ndarray
+    im: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, p: float, parts: list[np.ndarray]) -> "_Batch":
+        """The batch of vectors given as (n, 2) arrays of real and imaginary parts, in order."""
+        both = np.concatenate(parts) if parts else np.empty((0, 2))
+        return cls(p, both[:, 0].copy(), both[:, 1].copy(), _bounds([len(a) for a in parts]))
+
+    def vectors(self) -> list[FinSeqVector]:
+        c = np.empty(len(self.re), dtype=np.complex128)
+        c.real, c.imag = self.re, self.im
+        coords, b = c.tolist(), self.bounds.tolist()
+        return [FinSeqVector(self.p, coords[lo:hi]) for lo, hi in zip(b, b[1:])]
+
+    def moduli(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # finite parts whose modulus is beyond float range: inf
+            return np.hypot(self.re, self.im)
+
+    def positions(self) -> np.ndarray:
+        """Each lane's 0-based index within its vector."""
+        return np.arange(len(self.re)) - np.repeat(self.bounds[:-1], np.diff(self.bounds))
+
+
+def _bounds(sizes) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _one(x: FinSeqVector) -> _Batch:
+    c = np.fromiter(x.coords, dtype=np.complex128, count=len(x.coords))
+    return _Batch.of(x.p, [c.view(np.float64).reshape(-1, 2)])
+
+
 def _norm_from_moduli(moduli: list[float], p: float) -> float:
     """(sum m**p)**(1/p) over the moduli, with a correctly rounded power sum.
 
@@ -150,6 +200,28 @@ def _norm_from_moduli(moduli: list[float], p: float) -> float:
         return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
 
 
+def _power_norm(powers: list[float], moduli: np.ndarray, p: float) -> float:
+    """The l^p norm of ``moduli``, as ``_norm_from_moduli`` gives it, from their powers m**p.
+
+    ``np.float_power`` gives those powers with the bits of ``**``.  When
+    their ``math.fsum`` is finite the norm is that sum to the power 1/p;
+    any other case (a power or the sum beyond float range, an inf or nan
+    modulus) is left to ``_norm_from_moduli``, which decides it in one place.
+    """
+    try:
+        total = math.fsum(powers)
+    except OverflowError:  # finite powers whose sum is beyond float range
+        total = math.inf
+    return total ** (1.0 / p) if total < math.inf else _norm_from_moduli(moduli.tolist(), p)
+
+
+def _norms(moduli: np.ndarray, bounds: list[int], p: float) -> list[float]:
+    """The l^p norm of each segment of ``moduli``, the powers from one ``np.float_power`` call."""
+    with np.errstate(over="ignore"):
+        powers = np.float_power(moduli, p).tolist()
+    return [_power_norm(powers[lo:hi], moduli[lo:hi], p) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def lp_norm(x: FinSeqVector) -> float:
     """The l^p norm of ``x``, computed as a correctly rounded power sum.
 
@@ -157,77 +229,74 @@ def lp_norm(x: FinSeqVector) -> float:
     factored out, so the norm is finite whenever it fits in a float.  It is
     inf when a modulus is beyond float range and nan for a nan coordinate.
     """
-    return _norm_from_moduli(list(map(_modulus, x.coords)), x.p)
+    return _norms(_one(x).moduli(), [0, len(x.coords)], x.p)[0]
 
 
-def _moduli_and_powers(x: FinSeqVector) -> tuple[list[float], list[float]]:
-    """The moduli |x_n| and the powers |x_n|**p of the coordinates of ``x``.
+def _powers(x: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli |x_n| and the powers |x_n|**p of every lane of ``x``.
 
-    A modulus or power beyond float range raises the ``RangeError`` that
-    ``tail_power_sums`` documents.
+    A power that is not finite raises, for the first vector that holds one,
+    the ``RangeError`` that ``tail_power_sums`` documents: walking from the
+    vector's last coordinate back, the first such power names its
+    coordinate, unless a tail of the finite powers after it has already left
+    float range, which ``_tails`` of those powers, with zeros in front,
+    raises itself.
     """
-    try:
-        moduli = list(map(abs, x.coords))
-        return moduli, [m**x.p for m in moduli]
-    except OverflowError:
-        raise _tail_range_error(x) from None
+    m = x.moduli()
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.float_power(m, x.p)
+    bad = ~np.isfinite(powers)
+    if bad.any():
+        j = int(np.searchsorted(x.bounds, np.argmax(bad), side="right")) - 1
+        lo, hi = x.bounds[j : j + 2].tolist()
+        k = hi - 1 - int(np.argmax(bad[lo:hi][::-1]))
+        _tails(np.where(np.arange(lo, hi) > k, powers[lo:hi], 0.0), _bounds([hi - lo]))
+        if math.isfinite(x.re[k]) and math.isfinite(x.im[k]):  # |x_n| or its power is beyond float range
+            raise RangeError(f"|x_n|**p at coordinate {k - lo + 1} is beyond float range")
+        raise RangeError(f"tail power sum from coordinate {k - lo + 1} is {powers.item(k) + math.inf!r}: it left float range")
+    return m, powers
 
 
-def _tail_sums(x: FinSeqVector, powers: list[float]) -> list[float]:
-    """Every suffix sum of ``powers``, the powers of ``x``, correctly rounded; then 0.0.
+def _tails(powers: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Every suffix sum of finite ``powers`` within each segment, correctly rounded.
 
-    ``np.frexp`` splits each finite power into a 53-bit integer times a power
-    of two, so over 2**-k, the least of those or 1, every power is an integer
-    and ``accumulate`` sums them exactly from the end.  Each sum is rounded
-    once: by ``float(int)``, which CPython rounds correctly, times 2**-k,
-    which is exact while every tail is a normal float and every sum is below
-    2**1023; otherwise by ``int / int`` true division, also correctly
-    rounded, which raises ``OverflowError`` exactly when the tail rounds to
-    inf.  So every tail has the bits of ``math.fsum`` over its powers.  A nan
-    or inf power, or a tail beyond float range, raises the ``RangeError``
-    that ``tail_power_sums`` documents.
+    ``np.frexp`` splits each power into a 53-bit integer times a power of
+    two, so over 2**-k, with k per segment from the least of its exponents
+    or 1, every power of the segment is an integer and ``accumulate`` sums
+    them exactly from the segment's end.  Each sum is rounded once: by its
+    conversion to float64, correctly rounded as ``float(int)`` is, times
+    2**-k, which is exact while every tail is a normal float and every sum
+    is below 2**1023; otherwise by ``int / int`` true division, also
+    correctly rounded, which raises ``OverflowError`` exactly when the tail
+    rounds to inf.  So every tail has the bits of ``math.fsum`` over its powers.  A
+    tail beyond float range raises the ``RangeError`` that
+    ``tail_power_sums`` documents, naming the coordinate in its segment.
     """
-    frac, exp = np.frexp(powers)
-    if not np.isfinite(frac).all():
-        raise _tail_range_error(x)
-    k = 53 - int(exp.min(initial=53))  # k >= 0, since min counts 53 in; every power is an integer over 2**k
-    ints = (frac * 2.0**53).astype(np.int64)[::-1].tolist()  # power = ints * 2**(exp - 53), exactly
-    sums = list(accumulate(map(operator.lshift, ints, (exp[::-1] + (k - 53)).tolist())))
-    if k <= 1022 and (not sums or sums[-1] < 1 << 1023):  # nonzero tails are then at least 2**-1022
-        scale = math.ldexp(1.0, -k)
-        return [float(t) * scale for t in reversed(sums)] + [0.0]
-    tails, denominator = [0.0], 1 << k
-    for j, t in enumerate(sums):  # from the last coordinate back
-        try:
-            tails.append(t / denominator)
-        except OverflowError:
-            raise RangeError(f"tail power sum from coordinate {len(sums) - j} is inf: it left float range") from None
+    sizes = np.diff(bounds)[::-1]  # the lanes run from the last back, so the vectors do too
+    rb = _bounds(sizes)
+    frac, exp = np.frexp(powers[::-1])
+    # k >= 0, since 53 counts in; the 53 appended only gives an empty vector a k
+    k = 53 - np.minimum(np.minimum.reduceat(np.append(exp, 53), rb[:-1]), 53)
+    ints = (frac * 2.0**53).astype(np.int64).tolist()  # power = ints * 2**(exp - 53), exactly
+    shifts = (exp + np.repeat(k - 53, sizes)).tolist()
+    sums: list = []
+    scales = []
+    rb = rb.tolist()
+    for lo, hi, kj in zip(rb, rb[1:], k.tolist()):
+        segment = list(accumulate(map(operator.lshift, ints[lo:hi], shifts[lo:hi])))
+        if kj <= 1022 and (not segment or segment[-1] < 1 << 1023):  # nonzero tails are then at least 2**-1022
+            scales.append(math.ldexp(1.0, -kj))
+        else:
+            scales.append(1.0)
+            denominator = 1 << kj
+            for j, t in enumerate(segment):  # from the last coordinate back
+                try:
+                    segment[j] = t / denominator
+                except OverflowError:
+                    raise RangeError(f"tail power sum from coordinate {hi - lo - j} is inf: it left float range") from None
+        sums += segment
+    tails = np.array(sums, dtype=np.float64) * np.repeat(scales, sizes)
     return tails[::-1]
-
-
-def _tail_range_error(x: FinSeqVector) -> RangeError:
-    """The error of ``x``'s tail sums once one of its powers has failed.
-
-    Walking from the last coordinate back, the first power that raises or is
-    not finite names its coordinate, unless a tail of the finite powers after
-    it has already left float range: ``_tail_sums`` of those powers, with
-    zeros in front, raises that error itself.
-    """
-    powers: list[float] = []
-    for k, c in zip(range(len(x.coords), 0, -1), reversed(x.coords)):
-        try:
-            v = _modulus(c) ** x.p
-        except OverflowError:
-            v = math.inf
-        if v == math.inf and cmath.isfinite(c):  # |x_n| or its power is beyond float range
-            error = RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
-            break
-        if not math.isfinite(v):  # v + inf is inf, or nan for a nan power
-            error = RangeError(f"tail power sum from coordinate {k} is {v + math.inf!r}: it left float range")
-            break
-        powers.append(v)
-    _tail_sums(x, [0.0] * (len(x.coords) - len(powers)) + powers[::-1])
-    return error
 
 
 def tail_power_sums(x: FinSeqVector) -> list[float]:
@@ -241,7 +310,8 @@ def tail_power_sums(x: FinSeqVector) -> list[float]:
     the first power beyond float range raises ``RangeError`` naming its
     coordinate, as does the first tail that is inf or nan.
     """
-    return _tail_sums(x, _moduli_and_powers(x)[1])
+    x1 = _one(x)
+    return _tails(_powers(x1)[1], x1.bounds).tolist() + [0.0]
 
 
 def _padded(x: FinSeqVector, y: FinSeqVector) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
@@ -250,11 +320,17 @@ def _padded(x: FinSeqVector, y: FinSeqVector) -> tuple[tuple[complex, ...], tupl
     return x.coords + (0j,) * (n - len(x.coords)), y.coords + (0j,) * (n - len(y.coords))
 
 
+def _subtract(x: _Batch, y: _Batch) -> _Batch:
+    """x - y lane by lane, for batches with the same bounds."""
+    return _Batch(x.p, x.re - y.re, x.im - y.im, x.bounds)
+
+
 def subtract(x: FinSeqVector, y: FinSeqVector) -> FinSeqVector:
     """x - y, padding the shorter coordinate tuple with zeros."""
     if x.p != y.p:
         raise ValueError(f"exponent mismatch: {x.p} vs {y.p}")
-    return FinSeqVector(x.p, tuple(map(operator.sub, *_padded(x, y))))
+    xs, ys = _padded(x, y)
+    return _subtract(_one(FinSeqVector(x.p, xs)), _one(FinSeqVector(x.p, ys))).vectors()[0]
 
 
 def max_coord_diff(x: FinSeqVector, y: FinSeqVector) -> float:
@@ -528,23 +604,44 @@ class ShiftOperator:
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
+def _shift(t: ShiftOperator, x: _Batch) -> _Batch:
+    """``t`` applied to every vector of ``x``: each loses its first lane.
+
+    The weights come from one ``weight_range`` call up to the longest
+    vector, and lane n-1 of the image is w_(n-1) * x_n, multiplied as
+    CPython multiplies complexes, (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
+    """
+    if x.p != t.p:
+        raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
+    sizes = np.diff(x.bounds)
+    pos = x.positions()
+    keep = pos > 0
+    w = t.weights.weight_range(0, int(sizes.max()) - 1) if sizes.max(initial=0) > 1 else np.empty(0, np.complex128)
+    a, b = w.real[pos[keep] - 1], w.imag[pos[keep] - 1]
+    c, d = x.re[keep], x.im[keep]
+    return _Batch(x.p, a * c - b * d, a * d + b * c, _bounds(np.maximum(sizes - 1, 0)))
+
+
 def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:
     """One application of the weighted backward shift; shortens support by one.
 
     The weights come from one ``weight_range`` call and multiply as Python
-    complexes: numpy's complex product does not round the same way.
+    complexes do: numpy's complex product does not round the same way.
     """
-    if x.p != t.p:
-        raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
-    n = len(x.coords)
-    if n <= 1:
-        return FinSeqVector(x.p, ())
-    ws = t.weights.weight_range(0, n - 1).tolist()
-    return FinSeqVector(x.p, tuple(w * c for w, c in zip(ws, x.coords[1:])))
+    return _shift(t, _one(x)).vectors()[0]
 
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+def _random_parts(count: int, seed: int, support_range: tuple[int, int] = (1, 64), box: float = 10.0) -> Iterator[np.ndarray]:
+    """The draws of ``random_vectors``, as drawn: per vector, an (n, 2) array of real and imaginary parts."""
+    lo, hi = support_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bad support range {support_range!r}")
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-box, box, size=(int(rng.integers(lo, hi + 1)), 2)) for _ in range(count))
 
 
 def random_vectors(
@@ -560,16 +657,7 @@ def random_vectors(
     and each coordinate has real and imaginary parts uniform on
     ``[-box, box]``.  The same ``seed`` always yields the same sample.
     """
-    lo, hi = support_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"bad support range {support_range!r}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(lo, hi + 1))
-        parts = rng.uniform(-box, box, size=(n, 2)).tolist()
-        out.append(FinSeqVector(p, tuple(starmap(complex, parts))))
-    return out
+    return [FinSeqVector(p, tuple(starmap(complex, a.tolist()))) for a in _random_parts(count, seed, support_range, box)]
 
 
 # ---------------------------------------------------------------------------

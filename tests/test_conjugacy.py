@@ -3,9 +3,11 @@
 import cmath
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -33,6 +35,9 @@ from shiftlab import (
     subtract,
     tail_power_sums,
 )
+from shiftlab import conjugacy
+from shiftlab.conjugacy import _residuals
+from shiftlab.seqspace import _Batch, _shift, _tails
 
 # vectors whose moduli stay in a friendly range; enough for every identity here
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -470,3 +475,203 @@ def test_decision_agrees_with_builder(ml, mo, p, q):
     except ClassMismatchError:
         built = False
     assert decided == built
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel against one sample and one coordinate at a time
+
+
+def _ref_tails(coords, p):
+    """Per-suffix fsums, walking from the last coordinate: the first power or tail out of range raises."""
+    powers, tails = [], [0.0]
+    for k in range(len(coords), 0, -1):
+        try:
+            powers.append(abs(coords[k - 1]) ** p)
+        except OverflowError:
+            raise RangeError(f"|x_n|**p at coordinate {k} is beyond float range") from None
+        try:
+            tails.append(math.fsum(powers))
+        except OverflowError:
+            tails.append(math.inf)
+        if tails[-1] == math.inf:
+            raise RangeError(f"tail power sum from coordinate {k} is inf: it left float range")
+    return tails[::-1]
+
+
+def _ref_pow_diff(a, b, d, s):
+    """a**s - b**s for a = b + d, by expm1/log1p when a < 2b; inf when it overflows."""
+    try:
+        if b == 0.0:
+            return a**s
+        if d / b < 1.0:
+            return (b**s) * math.expm1(s * math.log1p(d / b))
+        return a**s - b**s
+    except OverflowError:
+        return math.inf
+
+
+def _ref_step(st, coords, p):
+    """One step of a conjugator, coordinate by coordinate."""
+    if isinstance(st, DiagStep):
+        factor, out = 1 + 0j, []
+        for i, c in enumerate(coords):
+            if i:
+                factor *= st.ratio
+            out.append(factor * c)
+        return out
+    if isinstance(st, HStep):
+        tails, out = _ref_tails(coords, p), []
+        for n, c in enumerate(coords, 1):
+            if c == 0:
+                out.append(0j)
+                continue
+            m = abs(c)
+            diff = _ref_pow_diff(tails[n - 1], tails[n], m**p, st.s)
+            if diff == math.inf:
+                raise RangeError(f"h_map image at coordinate {n} is beyond float range (s = {st.s!r})")
+            out.append((c / m) * diff ** (1.0 / p))
+        return out
+    out = []
+    for n, c in enumerate(coords, 1):
+        if c == 0:
+            out.append(0j)
+            continue
+        try:
+            m = abs(c)
+        except OverflowError:
+            raise RangeError(f"|x_n| at coordinate {n} is beyond float range") from None
+        try:
+            out.append((c / m) * m ** (p / st.q))
+        except OverflowError:
+            raise RangeError(f"g_map image at coordinate {n} is beyond float range (q = {st.q!r})") from None
+    return out
+
+
+def _ref_apply(phi, coords):
+    p = phi.domain_p
+    for st in phi.steps:
+        coords = _ref_step(st, coords, p)
+        p = st.codomain_p
+    return coords
+
+
+def _ref_shift(t, coords):
+    return [t.weights.value * c for c in coords[1:]]
+
+
+def _ref_norm(coords, p):
+    moduli = [abs(c) for c in coords]
+    try:
+        return math.fsum([m**p for m in moduli]) ** (1.0 / p)
+    except OverflowError:
+        top = max(moduli)
+        return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
+
+
+def _ref_residual(source, target, phi, samples, seed):
+    """(max_residual.hex(), worst_index) of conjugacy_residual, one sample after another."""
+    residuals = []
+    for x in random_vectors(samples, source.p, seed):
+        lhs = _ref_apply(phi, _ref_shift(source, list(x.coords)))
+        rhs = _ref_shift(target, _ref_apply(phi, list(x.coords)))
+        residuals.append(_ref_norm([a - b for a, b in zip(lhs, rhs)], target.p))
+    worst = max(range(len(residuals)), key=residuals.__getitem__)
+    return residuals[worst].hex(), worst
+
+
+def _residual_outcome(f):
+    try:
+        return f()
+    except RangeError as e:
+        return str(e)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """Constant shifts lam B_p and omega B_q in one class, moduli 1e-300 to 1e300, any phases."""
+    log_ml = draw(st.floats(min_value=-300.0, max_value=300.0))
+    log_mo = math.copysign(draw(st.floats(min_value=0.0, max_value=300.0)), log_ml)
+    phase = st.one_of(st.just(0.0), st.floats(min_value=-math.pi, max_value=math.pi))
+    lam = cmath.rect(10.0**log_ml, draw(phase))
+    omega = cmath.rect(10.0**log_mo, draw(phase))
+    p, q = (draw(st.floats(min_value=1.0, max_value=8.0)) for _ in range(2))
+    return lam, p, omega, q
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(conjugate_pairs(), st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**32 - 1))
+def test_residual_batch_matches_a_serial_reference(pair, samples, seed):
+    lam, p, omega, q = pair
+    assume(conjugacy_class_decision(lam, p, omega, q))
+    phi = build_conjugator(lam, p, omega, q)
+    source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(omega), q)
+    got = _residual_outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, samples, seed)))
+    assert got == _residual_outcome(lambda: _ref_residual(source, target, phi, samples, seed))
+
+
+# the second pair's first failure is sample 8's: a tail sum beyond float range
+@pytest.mark.parametrize("lam,p,omega,q", [(2j, 1.5, complex(-1.2, 0.9), 2.0), (10.0**37.32, 8.0, 2.0, 1.0)])
+def test_residual_samples_split_into_batches_agree_with_the_serial_reference(monkeypatch, lam, p, omega, q):
+    monkeypatch.setattr(conjugacy, "_BATCH", 3)
+    phi = build_conjugator(lam, p, omega, q)
+    source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(omega), q)
+    got = _residual_outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, 10, 12)))
+    assert got == _residual_outcome(lambda: _ref_residual(source, target, phi, 10, 12))
+
+
+def _parts(*vectors):
+    return [np.array([[c.real, c.imag] for c in map(complex, v)]).reshape(-1, 2) for v in vectors]
+
+
+def _bits(coords):
+    return [(c.real.hex(), c.imag.hex()) for c in coords]
+
+
+def test_kernels_keep_the_sign_of_zero_parts_as_python_complexes_do():
+    coords = [complex(-0.0, 1.0), complex(0.0, -0.0), complex(-0.0, -2.0), complex(3.0, -0.0), complex(-0.0, -0.0)]
+    batch = _Batch.of(2.0, _parts(coords, coords[::-1]))
+    for st_ in (HStep(2.0, 0.7), GStep(2.0, 3.0), DiagStep(2.0, complex(-0.0, 1.0)), DiagStep(2.0, -1 + 0j)):
+        images = st_.on_batch(batch).vectors()
+        assert [_bits(y.coords) for y in images] == [_bits(_ref_step(st_, v, 2.0)) for v in (coords, coords[::-1])]
+    shifted = _shift(ShiftOperator(Constant(complex(-0.0, 1.0)), 2.0), batch).vectors()
+    assert [_bits(y.coords) for y in shifted] == [_bits(complex(-0.0, 1.0) * c for c in v[1:]) for v in (coords, coords[::-1])]
+
+
+def test_a_zero_coordinate_inside_a_vector_maps_to_plus_zero():
+    x = (1 + 2j, complex(-0.0, -0.0), 3 - 1j)
+    for image in (h_map(FinSeqVector(2.0, x), 2.5), g_map(FinSeqVector(2.0, x), 3.0)):
+        assert _bits(image.coords[1:2]) == _bits([0j])
+    batch = _Batch.of(2.0, _parts((0.5,), x, (0j,), ()))
+    images = HStep(2.0, 2.5).on_batch(batch).vectors()
+    assert [_bits(y.coords) for y in images] == [_bits(h_map(FinSeqVector(2.0, v), 2.5).coords) for v in ((0.5,), x, (0j,), ())]
+
+
+def test_the_error_of_a_batch_is_the_first_sample_s_lhs_before_rhs():
+    # sample 0 fails only on the rhs, where h sees |1e200|**2; sample 3 fails
+    # on the lhs, where the shift puts 1e150 * 1e10 at coordinate 2
+    lam, p = 1e150, 2.0
+    phi = build_conjugator(lam, p, 2.0, p)
+    source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(2.0), p)
+    samples = _parts((1e200, 1), (1, 1), (1, 1), (1, 1, 1e10))
+    with pytest.raises(RangeError, match=r"^\|x_n\|\*\*p at coordinate 2 ") :
+        _residuals(source, target, phi, samples[3:])
+    with pytest.raises(RangeError, match=r"^\|x_n\|\*\*p at coordinate 1 "):
+        _residuals(source, target, phi, samples)
+
+
+def test_tail_integers_are_as_short_as_each_vector_needs():
+    # a vector of ordinary powers beside one whose power is the least
+    # subnormal: a least exponent k for the whole batch would make every
+    # integer of the first about a thousand bits long
+    ordinary = np.linspace(1.0, 2.0, 20_000)
+    alone, beside = _tail_peak(ordinary, [0, 20_000]), _tail_peak(np.append(ordinary, 5e-324), [0, 20_000, 20_001])
+    assert beside < 1.5 * alone
+
+
+def _tail_peak(powers, bounds):
+    tracemalloc.start()
+    try:
+        _tails(powers, np.array(bounds))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
