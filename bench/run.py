@@ -1,7 +1,7 @@
 """Wall time and memory of the shiftlab CLI and of its kernels, in one JSON file.
 
-    python3 bench/run.py --out BENCH_16.json
-    python3 bench/run.py --compare BENCH_15.json BENCH_16.json
+    python3 bench/run.py --out BENCH_17.json
+    python3 bench/run.py --compare BENCH_16.json BENCH_17.json
 
 Run from the root of a checkout: shiftlab is imported from ``src/``.  The
 script uses the standard library and numpy only, and takes about 50 s on a
@@ -73,6 +73,10 @@ CLI = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
 SCENARIOS = {
     "classify T2": ["classify", "--weights", "example:T2"],
     "classify T2 --horizon 1e7": ["classify", "--weights", "example:T2", "--horizon", "10000000"],
+    # every term from about n = 2,700 on is inf: the sweep skips that suffix
+    "classify blocks:1.4:0.55:b_first --horizon 1e9": [
+        "classify", "--weights", "blocks:1.4:0.55:b_first", "--horizon", "1000000000"
+    ],
     "conjugate-check 2:1 4:3": ["conjugate-check", "--f", "2:1", "--g", "4:3"],
     "conjugate-check 2:1 4:3 --samples 2000": ["conjugate-check", "--f", "2:1", "--g", "4:3", "--samples", "2000"],
     "orbit T3 example3:20 --n 419": ["orbit", "--op", "example:T3", "--point", "example3:20", "--n", "419"],

@@ -51,6 +51,7 @@ optionally the command name, from a JSON object; explicit flags override.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -97,7 +98,9 @@ from .seqspace import (
 DEFAULT_P = 2.0
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100
-MAX_HORIZON = 10**9  # the evidence sweep is O(horizon): 10-15 s at the maximum
+# the evidence sweep is O(horizon) up to a suffix of saturated terms, which
+# costs O(log horizon); T2, whose terms never saturate, takes 10-15 s at the maximum
+MAX_HORIZON = 10**9
 MAX_SAMPLES = 10**5  # about 8 s and 51 MB at the maximum on a 2-core Xeon
 MAX_LENGTH = 10**6  # orbit steps and point supports, each one list entry or more
 MAX_ORBIT_WORK = 10**8  # min(--n, L) * L for a point of length L: about 8-18 s at the maximum
@@ -396,6 +399,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache  # parse_args keeps no state in the parser, so a process builds it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shiftlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")

@@ -182,7 +182,7 @@ _LEAF = 1 << 13
 _ADD = None
 
 
-def _pairwise_walk(lo: int, hi: int):
+def _pairwise_walk(lo: int, hi: int, whole: int):
     """The order in which ``np.sum`` adds the float64 terms lo..hi-1.
 
     Yields the tree of numpy's ``pairwise_sum`` for one contiguous array in
@@ -192,12 +192,14 @@ def _pairwise_walk(lo: int, hi: int):
     rounded down to a multiple of 8.  A leaf is a node of that tree, which
     ``np.sum`` of the leaf alone walks the same way, so summing each leaf
     with ``np.sum`` and adding at each marker gives the bits of ``np.sum``
-    over the whole range.  The stack holds O(log((hi - lo) / _LEAF)) items.
+    over the whole range.  A node that starts at or after ``whole`` is
+    yielded as it is, however large.  The stack holds
+    O(log((hi - lo) / _LEAF)) items.
     """
     stack = [(lo, hi)]
     while stack:
         node = stack.pop()
-        if node is not _ADD and node[1] - node[0] > _LEAF:
+        if node is not _ADD and node[1] - node[0] > _LEAF and node[0] < whole:
             lo, hi = node
             n = hi - lo
             half = n // 2 - n // 2 % 8
@@ -249,39 +251,73 @@ def _exp_in_place(terms: np.ndarray) -> None:
         np.exp(terms, out=terms)
 
 
+def _saturated_suffix(w: WeightSequence, p: float, horizon: int) -> tuple[int, float | None]:
+    """An n0 such that the terms n0..horizon-1 are all 0.0, or all inf, and that value.
+
+    Terms lo..hi-1 are exp(fl(-p * x)) for x in ``log_abs_profile(lo, hi)``,
+    and fl(-p * x) falls as x rises, so -p times the low bound of
+    ``log_abs_bounds`` below _EXP_LOW makes them all 0.0, and -p times the
+    high bound above _EXP_HIGH all inf.  The last _LEAF terms are checked
+    first; while they hold, the part before the suffix found so far, as
+    long as that suffix, is checked next, and the part that failed is
+    bisected.  That is O(log horizon) bounds calls, and for ``Explicit``,
+    whose bounds read their slice, at most three times the suffix read.
+    (horizon, None) when the last _LEAF terms are not saturated.
+    """
+
+    def value(lo: int, hi: int) -> float | None:
+        low, high = w.log_abs_bounds(lo, hi)
+        return 0.0 if -p * low < _EXP_LOW else math.inf if -p * high > _EXP_HIGH else None
+
+    n0 = lo = max(horizon - _LEAF, 0)
+    if (known := value(n0, horizon)) is None:
+        return horizon, None
+    while n0 > 0 and value(lo := max(2 * n0 - horizon, 0), n0) == known:
+        n0 = lo
+    while n0 - lo > 1:  # the terms from n0 on hold, and value(lo, n0) fails
+        mid = (lo + n0) // 2
+        lo, n0 = (lo, mid) if value(mid, n0) == known else (mid, n0)
+    return n0, known
+
+
 def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ...]) -> list[float]:
     """``np.sum(exp(-p * profile)[s:])`` for each s in ``starts``, streamed.
 
-    The walks of the sums ask for their leaves in one rising sweep.  A
-    rolling buffer of 2 * _LEAF terms holds those from the lowest leaf in
-    flight on.  When a leaf runs past its end, the next _LEAF terms are
-    computed into it from one ``log_abs_profile`` chunk, so each term is
-    computed once and the sweep makes about horizon / _LEAF profile calls.
-    Each chunk's exp goes through ``_exp_in_place``, which writes the bits
-    of ``np.exp`` but keeps saturated lanes out of it.  The sums of the
-    leaves a walk has finished wait on a stack of their own until its
-    ``_ADD`` markers add them, left + right.
+    ``_saturated_suffix`` first finds an n0 from which every term is 0.0,
+    or every one inf.  The walks yield a node from n0 on whole, and its sum
+    is that value, which is also what ``np.sum`` gives over its terms, so
+    no term there is computed.  The walks of the sums ask for their other
+    leaves in one rising sweep.  A rolling buffer of 2 * _LEAF terms holds
+    those from the lowest leaf in flight on.  When a leaf runs past its
+    end, up to the next _LEAF terms before n0 are computed into it from one
+    ``log_abs_profile`` chunk, so each term is computed once and the sweep
+    makes about n0 / _LEAF profile calls.  Each chunk's exp goes through
+    ``_exp_in_place``, which writes the bits of ``np.exp`` but keeps
+    saturated lanes out of it.  The sums of the leaves a walk has finished
+    wait on a stack of their own until its ``_ADD`` markers add them,
+    left + right.
     """
-    walks = [_pairwise_walk(s, horizon) for s in starts]
+    n0, known = _saturated_suffix(w, p, horizon)
+    walks = [_pairwise_walk(s, horizon, n0) for s in starts]
     stacks: list[list[float]] = [[] for _ in starts]
-    asks = [next(walk) for walk in walks]  # a walk starts with a leaf
+    asks = [next(walk) for walk in walks]  # a walk starts with a leaf or a node from n0 on
     buf = np.empty(min(2 * _LEAF, horizon))
     buf_lo, size = 0, 0  # buf[:size] holds the terms buf_lo .. buf_lo + size - 1
     with np.errstate(over="ignore", under="ignore"):
         while any(asks):
             i = min((ask[0], i) for i, ask in enumerate(asks) if ask)[1]
             lo, hi = asks[i]
-            if hi > buf_lo + size:
+            if lo < n0 and hi > buf_lo + size:
                 start = max(lo, buf_lo + size)
                 keep = start - lo
                 buf[:keep] = buf[lo - buf_lo : size]
-                profile = w.log_abs_profile(start, min(max(hi, start + _LEAF), horizon))
+                profile = w.log_abs_profile(start, max(hi, min(start + _LEAF, n0)))
                 buf_lo, size = lo, keep + len(profile)
                 terms = buf[keep:size]
                 np.multiply(profile, -p, out=terms)
                 _exp_in_place(terms)
             sums = stacks[i]
-            sums.append(float(buf[lo - buf_lo : hi - buf_lo].sum()))
+            sums.append(known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
             for node in walks[i]:
                 if node is not _ADD:
                     asks[i] = node
@@ -306,13 +342,17 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
     ``log_abs_profile`` has the bits of the same slice of ``beta_profile``,
     the terms are elementwise, and both sums add their terms along the tree
     ``np.sum`` walks over the whole array.  For every family but the power
-    law most terms are exactly 0.0 or inf, where ``np.exp`` is 3-100 times
-    slower per lane: a chunk whose terms are all below -750 or all above
-    710 is filled with the value ``np.exp`` gives there, and a chunk with
-    some lanes below -750 runs ``np.exp`` on the others only.  A chunk
-    whose first and last terms are in range, such as every power-law
-    chunk, goes to ``np.exp`` whole, as do subnormal and overflowing lanes
-    of a mixed chunk, so each term keeps the bits of ``np.exp``.
+    law most terms are exactly 0.0 or inf.  Where all are from some n0 on,
+    ``log_abs_bounds`` finds that suffix in O(log horizon) calls and the
+    sums take each tree node inside it as its one value, so the sweep is
+    O(n0 + log horizon), not O(horizon).  Before n0, where
+    ``np.exp`` is 3-100 times slower per saturated lane, a chunk whose
+    terms are all below -750 or all above 710 is filled with the value
+    ``np.exp`` gives there, and a chunk with some lanes below -750 runs
+    ``np.exp`` on the others only.  A chunk whose first and last terms are
+    in range, such as every power-law chunk, goes to ``np.exp`` whole, as
+    do subnormal and overflowing lanes of a mixed chunk, so each term
+    keeps the bits of ``np.exp``.
     """
     if horizon < 1:
         raise ValueError(f"profile length must be >= 1, got {horizon}")

@@ -15,12 +15,16 @@ Weight sequences come in four generator families:
 * ``BalancedBlocks(a, b)``        k copies of a, then k copies of b, k = 1, 2, ...
 * ``PowerLawBeta(alpha)``         positive weights whose running product is n**alpha
 
-Each family is one class with the same five methods, over the half-open
+Each family is one class with the same six methods, over the half-open
 index range lo < n <= hi (0 <= lo <= hi):
 
 * ``weight_range(lo, hi)``     the weights w_n, as a complex128 array
 * ``log_abs_profile(lo, hi)``  log |beta(n)| with beta(n) = w_1 * ... * w_n,
                                as a float64 array that never overflows
+* ``log_abs_bounds(lo, hi)``   (low, high) with low <= every entry of
+                               ``log_abs_profile(lo, hi)`` <= high, for
+                               lo < hi; they may be loose, and cost O(1)
+                               but for ``Explicit``, which reads its slice
 * ``bound()``                  an upper bound for sup_n |w_n| (inf if too big)
 * ``analytic_label(p)``        the closed-form dynamical label on l^p, as the
                                value of a ``dynamics.DynamicsLabel``, or None
@@ -367,6 +371,10 @@ class Constant:
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
         return np.arange(lo + 1, hi + 1, dtype=np.float64) * math.log(abs(self.value))
 
+    def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
+        # fl(n * v) is monotone in n, so the ends give the extrema, exactly
+        return tuple(sorted(n * math.log(abs(self.value)) for n in (lo + 1, hi)))
+
     def bound(self) -> float:
         return _modulus(self.value)
 
@@ -384,41 +392,63 @@ class Explicit:
     """A finite, explicitly listed weight sequence."""
 
     weights: tuple[complex, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
     _log_abs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ws = tuple(_checked_weight(w) for w in self.weights)
+        # the weights are checked as one array; when one fails, or complex()
+        # refuses one, _checked_weight of each in turn raises for the first
+        ws = tuple(self.weights)
+        try:
+            arr = np.fromiter(ws := tuple(map(complex, ws)), dtype=np.complex128, count=len(ws))
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or not (arr.all() and np.isfinite(arr).all()):
+            ws = tuple(map(_checked_weight, ws))
         if not ws:
             raise ValueError("explicit weight list must be nonempty")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_array", arr)
         # the whole profile, once: a running sum from w_1 gives an entry the
         # same bits whichever range it is asked for in, and a list the caller
         # holds bounds its size
         with np.errstate(over="ignore"):
-            log_abs = np.log(np.abs(np.array(ws, dtype=np.complex128)))
-        object.__setattr__(self, "_log_abs", np.cumsum(log_abs))
+            object.__setattr__(self, "_log_abs", np.cumsum(np.log(np.abs(arr))))
 
-    def _check_range(self, lo: int, hi: int) -> None:
+    def _range(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``a[lo:hi]`` of an array with one entry per weight, or ``IndexError`` past the list."""
         n = len(self.weights)
         if hi > n:
             raise IndexError(f"weight index {max(lo, n) + 1} beyond explicit list of length {n}")
+        return a[lo:hi]
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
-        self._check_range(lo, hi)
-        return np.array(self.weights[lo:hi], dtype=np.complex128)
+        return self._range(self._array, lo, hi).copy()
 
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
-        self._check_range(lo, hi)
-        return self._log_abs[lo:hi].copy()
+        return self._range(self._log_abs, lo, hi).copy()
+
+    def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
+        part = self._range(self._log_abs, lo, hi)
+        return float(part.min()), float(part.max())
 
     def bound(self) -> float:
-        return max(_modulus(v) for v in self.weights)
+        with np.errstate(over="ignore"):  # np.hypot of the parts is abs, bit for bit; inf past float range
+            return float(np.hypot(self._array.real, self._array.imag).max())
 
     def analytic_label(self, p: float) -> None:
         return None  # a finite list only ever gives finite-horizon evidence
 
     def to_dict(self) -> dict:
-        return {"kind": "explicit", "weights": [_pair(v) for v in self.weights]}
+        return {"kind": "explicit", "weights": self._array.view(np.float64).reshape(-1, 2).tolist()}
+
+
+def _shared_and_pair(n: int) -> tuple[int, int]:
+    """The shared count of ``_block_runs`` at position n >= 1, and the pair k that holds n."""
+    k = math.isqrt(n - 1)
+    if n <= k * (k + 1):  # the second block of pair k, whose first k positions are matched
+        return k * (k - 1) // 2 + n - k * k, k
+    return k * (k + 1) // 2, k + 1  # the first block of pair k + 1
 
 
 def _block_runs(lo: int, hi: int) -> list[tuple[int, int, bool, int, int]]:
@@ -433,9 +463,7 @@ def _block_runs(lo: int, hi: int) -> list[tuple[int, int, bool, int, int]]:
     excess count rises by one per position; along a second-block run the
     shared count rises and the excess count falls.
     """
-    k = max(math.isqrt(lo), 1)
-    if k * (k + 1) <= lo:  # lo lies between k*k and (k+1)*(k+1): pair k ends before lo+1
-        k += 1
+    k = _shared_and_pair(lo + 1)[1]
     runs = []
     n = lo
     while n < hi:
@@ -496,10 +524,7 @@ class BalancedBlocks:
         2**53, so every entry has the bits of the same two products and one
         sum formed position by position.
         """
-        la = math.log(abs(self.first))
-        m = abs(self.first) * abs(self.second)
-        # a product that left float range is taken apart into a sum of logs
-        lm = math.log(m) if 0.0 < m < math.inf else la + math.log(abs(self.second))
+        la, lm = self._logs()
         runs = _block_runs(lo, hi)
         # the excess counts of each run, lowest and highest
         spans = [
@@ -521,6 +546,25 @@ class BalancedBlocks:
             else:
                 np.add(excess[e - e0 : e - e0 + size], s * lm, out=out[start:stop])
         return out
+
+    def _logs(self) -> tuple[float, float]:
+        """log|first| and log|first * second|, the two factors of every profile entry."""
+        la = math.log(abs(self.first))
+        m = abs(self.first) * abs(self.second)
+        # a product that left float range is taken apart into a sum of logs
+        return la, (math.log(m) if 0.0 < m < math.inf else la + math.log(abs(self.second)))
+
+    def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
+        """Each entry is fl(fl(shared * lm) + fl(excess * la)), monotone in both counts.
+
+        The shared count rises with n, so it lies between its values at
+        lo+1 and hi, and the excess count lies in [0, k] for the pair k
+        that holds hi.  The same products and sum of those ends bound every
+        entry, in O(1).
+        """
+        la, lm = self._logs()
+        (s_lo, _), (s_hi, k) = _shared_and_pair(lo + 1), _shared_and_pair(hi)
+        return min(s_lo * lm, s_hi * lm) + min(0.0, k * la), max(s_lo * lm, s_hi * lm) + max(0.0, k * la)
 
     def bound(self) -> float:
         return max(_modulus(self.a), _modulus(self.b))
@@ -566,6 +610,12 @@ class PowerLawBeta:
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
         with np.errstate(over="ignore"):  # |alpha| * log(n) beyond float range saturates to +-inf
             return self.alpha * np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+
+    def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
+        # np.log is within a few ulps of math.log, and log(n) >= 0, so the
+        # logs of the ends widened by 2**-49 (8 ulps or more) bound every
+        # entry's log, and fl(alpha * x) is monotone in x
+        return tuple(sorted(self.alpha * (math.log(n) * f) for n, f in ((lo + 1, 1 - 2**-49), (hi, 1 + 2**-49))))
 
     def bound(self) -> float:
         # w_n = (n/(n-1))**alpha is largest at n = 2 for alpha > 0 and

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -485,6 +487,26 @@ def test_help_exits_zero(capsys):
 def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
+
+
+def test_one_parser_per_process_answers_as_a_fresh_process_does(capsys):
+    # main() reuses the parser it built first; a usage error must leave no
+    # state behind for the calls after it
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv in (
+        ["classify", "--weights", "constant:2", "--bogus", "1"],
+        ["classify", "--weights", "blocks:1.4:0.55:b_first", "--horizon", "1000"],
+        ["--version"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [1, 0, 0] and fresh.stdout.startswith("shiftlab ")
 
 
 # ---------------------------------------------------------------------------

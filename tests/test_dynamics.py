@@ -272,7 +272,17 @@ def _evidence_cases(draw):
     return w, draw(st.floats(1.0, 8.0)), horizon
 
 
+def _jump_at(n0, length):
+    """Weights 1.0 but w_(n0+1) = e**400: at p = 2 the terms n0.. are exactly 0.0, the earlier ones 1.0."""
+    return Explicit((1.0,) * n0 + (math.exp(400.0),) + (1.0,) * (length - n0 - 1))
+
+
 @given(_evidence_cases())
+# saturated suffixes, which the sums take whole: from a mid-leaf term, from a
+# leaf boundary of the full sum's tree, and all inf
+@example((_jump_at(2 * _LEAF + 1000, 4 * _LEAF), 2.0, 4 * _LEAF))
+@example((_jump_at(2 * _LEAF, 4 * _LEAF), 2.0, 4 * _LEAF))
+@example((BalancedBlocks(1.4, 0.55, False), 2.0, 16 * _LEAF + 5))
 @example((Constant(0.999 + 0.01j), 3.3, 8 * _LEAF + 5))
 @example((Explicit(tuple(np.random.default_rng(0).uniform(0.97, 1.03, 100_003))), 2.7, 100_003))
 @example((BalancedBlocks(1.01, 0.99, False), 1.0, 16 * _LEAF + 7))
@@ -289,6 +299,32 @@ def _evidence_cases(draw):
 def test_streamed_evidence_equals_the_full_array_form_bit_for_bit(case):
     w, p, horizon = case
     assert _bits(horizon_evidence(w, p, horizon)) == _bits(_full_array_evidence(w, p, horizon))
+
+
+def test_saturated_suffix_is_found_where_the_terms_saturate():
+    assert dynamics._saturated_suffix(_jump_at(2 * _LEAF + 1000, 4 * _LEAF), 2.0, 4 * _LEAF) == (2 * _LEAF + 1000, 0.0)
+    assert dynamics._saturated_suffix(_jump_at(2 * _LEAF, 4 * _LEAF), 2.0, 4 * _LEAF) == (2 * _LEAF, 0.0)
+    # 2n log 2 > 750 from n = 542 on, that is from term 541
+    assert dynamics._saturated_suffix(Constant(2.0), 2.0, 10**6) == (541, 0.0)
+    assert dynamics._saturated_suffix(Constant(0.5), 2.0, 10**6) == (512, math.inf)
+    # never saturated, or only in part of the last _LEAF terms
+    for w in (PowerLawBeta(0.5), BalancedBlocks(2.0, 0.5), _jump_at(4 * _LEAF - 10, 4 * _LEAF)):
+        assert dynamics._saturated_suffix(w, 2.0, 4 * _LEAF) == (4 * _LEAF, None)
+
+
+@pytest.mark.parametrize("w", [Constant(2.0), BalancedBlocks(1.4, 0.55, False), PowerLawBeta(1e308)])
+def test_a_saturated_suffix_costs_no_profile_lanes(w, monkeypatch):
+    horizon = 10**9
+    asked = []
+    profile = type(w).log_abs_profile
+    monkeypatch.setattr(type(w), "log_abs_profile", lambda self, lo, hi: asked.append(hi - lo) or profile(self, lo, hi))
+    n0, known = dynamics._saturated_suffix(w, 2.0, horizon)
+    ev = horizon_evidence(w, 2.0, horizon)
+    # the two windows, and the terms up to n0 in chunks of _LEAF or less
+    assert n0 < 10_000 and sum(asked) <= 2 * math.isqrt(horizon) + n0 + _LEAF
+    # nor many tree nodes: the walk yields O(log horizon) of them past n0
+    assert sum(1 for _ in dynamics._pairwise_walk(0, horizon, n0)) < 4 * math.log2(horizon)
+    assert ev.last_decade_increment == known
 
 
 _EDGES = [
@@ -354,7 +390,7 @@ def test_exp_in_place_of_a_constant_chunk_writes_the_bits_of_np_exp(value):
 def _streamed_sum(a, lo):
     """a[lo:].sum() leaf by leaf, driven through the tree walk that horizon_evidence uses."""
     sums = []
-    for node in dynamics._pairwise_walk(lo, len(a)):
+    for node in dynamics._pairwise_walk(lo, len(a), len(a)):
         if node is dynamics._ADD:
             right = sums.pop()
             sums[-1] += right

@@ -31,6 +31,7 @@ from shiftlab import (
     weights_to_dict,
 )
 from shiftlab import dynamics
+from shiftlab import seqspace
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -334,8 +335,52 @@ def test_weight_bound():
         assert w.bound() == math.inf
 
 
+@pytest.mark.parametrize(
+    "weights,error,message",
+    [
+        ((1, 0, math.nan), ValueError, "weights must be nonzero"),
+        ((1, complex(math.nan, 1), 0), ValueError, "weights must be finite, got (nan+1j)"),
+        ((1, -0.0j, "x"), ValueError, "weights must be nonzero"),  # complex() refuses "x", after the zero
+        ((2, "x", 0), ValueError, "complex() arg is a malformed string"),
+        ((1, 0, None), ValueError, "weights must be nonzero"),
+        ((1, None, 0), TypeError, "complex() first argument must be a string or a number, not 'NoneType'"),
+        ((1, 0, 10**400), ValueError, "weights must be nonzero"),
+        ((1, 10**400, 0), OverflowError, "int too large to convert to float"),
+    ],
+)
+def test_explicit_raises_for_the_first_failing_weight_in_list_order(weights, error, message):
+    # the message of the per-weight check of each weight in turn
+    with pytest.raises(error) as reference:
+        for v in weights:
+            seqspace._checked_weight(v)
+    assert str(reference.value) == message
+    with pytest.raises(error) as got:
+        Explicit(weights)
+    assert str(got.value) == message
+    with pytest.raises(error) as got:  # a one-pass iterable too
+        Explicit(iter(weights))
+    assert str(got.value) == message
+
+
+def test_explicit_bound_and_to_dict_match_the_per_weight_forms_bit_for_bit():
+    rng = np.random.default_rng(7)
+    parts = rng.uniform(-10.0, 10.0, (2000, 2))
+    signed_zeros = (complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -3.5), complex(-1.5, 0.0), 5e-324j)
+    for ws in (
+        (*signed_zeros, *(complex(a, b) for a, b in parts.tolist())),
+        (1, 1.5e308 + 1.5e308j, -0.0 + 2j),  # finite parts, modulus beyond float range
+        (3 + 4j,),
+    ):
+        w = Explicit(ws)
+        assert w.bound().hex() == max(seqspace._modulus(complex(v)) for v in ws).hex()
+        pairs = w.to_dict()["weights"]
+        assert [[x.hex() for x in pair] for pair in pairs] == [[complex(v).real.hex(), complex(v).imag.hex()] for v in ws]
+        assert all(type(x) is float for pair in pairs for x in pair)
+    assert Explicit((1, 1.5e308 + 1.5e308j)).bound() == math.inf
+
+
 # ---------------------------------------------------------------------------
-# the five-method protocol of the weight families
+# the six-method protocol of the weight families
 
 
 def _pair_index_reference(n):
@@ -491,6 +536,50 @@ _FAMILIES = [
     BalancedBlocks(3.0, 0.25, a_first=False),
     PowerLawBeta(0.37),
 ]
+
+
+@st.composite
+def _bounded_ranges(draw):
+    """A family and a nonempty range lo < n <= hi for ``log_abs_bounds``."""
+    if draw(st.booleans()):
+        return draw(_family_ranges())
+    w, lo, hi = draw(_block_ranges())  # ranges on and inside blocks, |ab| = 1, != 1 and beyond float range
+    return w, lo, max(hi, lo + 1)
+
+
+@given(_bounded_ranges())
+@example((BalancedBlocks(2.0, 0.5), 99 * 100 + 3, 100 * 100 - 2))  # inside a first block
+@example((BalancedBlocks(0.5, 2.0, False), 100 * 100 + 3, 100 * 101 - 1))  # inside a second block
+@example((BalancedBlocks(1.4, 0.55, False), 10**6 + 5, 10**6 + 3 * _LEAF))  # |ab| < 1
+@example((BalancedBlocks(1.4, 0.85, False), 0, 3 * _LEAF))  # |ab| > 1
+@example((BalancedBlocks(1e300, 1e300), 7, 5000))  # |ab| beyond float range
+@example((BalancedBlocks(1e-300, 1e-300, False), 7, 5000))  # |ab| below float range
+# np.log(9170) is below math.log(9170) and np.log(94869) above math.log(94869)
+# (numpy 2.4.6 on x86-64 glibc 2.36), so both ends need their widening
+@example((PowerLawBeta(1.0), 9169, 9200))
+@example((PowerLawBeta(-1.0), 9169, 9200))
+@example((PowerLawBeta(1.0), 94000, 94869))
+@example((PowerLawBeta(1e308), 0, 100))
+@example((PowerLawBeta(-1e308), 0, 100))
+@example((PowerLawBeta(1e308), 3, 100))
+@example((Constant(1.0), 0, 1000))
+@example((Constant(-1j), 5, 1000))
+@example((Constant(cmath.rect(1.0, 0.7)), 0, 1000))
+@example((Constant(1e-300), 10**8, 10**8 + 10))
+@settings(max_examples=300, deadline=None)
+def test_log_abs_bounds_hold_for_every_profile_entry(case):
+    w, lo, hi = case
+    low, high = w.log_abs_bounds(lo, hi)
+    profile = w.log_abs_profile(lo, hi)
+    assert type(low) is float and type(high) is float
+    assert low <= profile.min() and profile.max() <= high
+    if isinstance(w, (Constant, Explicit)):  # the exact extrema, for these two
+        assert (low, high) == (profile.min(), profile.max())
+
+
+def test_explicit_bounds_past_the_list_are_an_index_error():
+    with pytest.raises(IndexError, match="weight index 4 beyond explicit list of length 3"):
+        Explicit((1, 2, 3)).log_abs_bounds(1, 4)
 
 
 @pytest.mark.parametrize("w", _FAMILIES)
