@@ -99,7 +99,7 @@ DEFAULT_P = 2.0
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100
 # the evidence sweep is O(horizon) up to a suffix of saturated terms, which
-# costs O(log horizon); T2, whose terms never saturate, takes 10-15 s at the maximum
+# costs O(log horizon); T2, whose terms never saturate, takes 12-15 s at the maximum
 MAX_HORIZON = 10**9
 MAX_SAMPLES = 10**5  # about 8 s and 51 MB at the maximum on a 2-core Xeon
 MAX_LENGTH = 10**6  # orbit steps and point supports, each one list entry or more

@@ -34,11 +34,11 @@ public functions run it on a batch of one, and ``conjugacy_residual`` runs
 all its samples through shift, steps, subtraction and norm as one batch.
 Each lane has the bits of the per-coordinate Python expression: moduli by
 ``np.hypot`` (what ``abs`` calls), powers by ``np.float_power`` (libm's
-``pow`` per lane, as ``**``), complex products and quotients written out as
-CPython 3.11 computes them.  Two parts stay scalar Python: ``math.log1p``
-and ``math.expm1``, mapped over only the lanes that take the expm1 form,
-because numpy's versions round differently in 8-9 % of lanes; and the
-exact integer tail sums, one pass per vector.  Errors are those of one
+``pow`` per lane, as ``**``), complex products by ``seqspace._cmul`` and
+quotients written out as CPython 3.11 computes them.  Two parts stay scalar
+Python: ``math.log1p`` and ``math.expm1``, mapped over only the lanes that
+take the expm1 form, because numpy's versions round differently in 8-9 % of
+lanes; and the exact integer tail sums, one pass per vector.  Errors are those of one
 vector after another: when a batch raises, its vectors go through again
 one at a time.
 """
@@ -46,10 +46,9 @@ one at a time.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import asdict, dataclass
-from itertools import accumulate, islice, repeat
+from itertools import islice
 from typing import Union
 
 import numpy as np
@@ -60,12 +59,14 @@ from .seqspace import (
     ShiftOperator,
     _Batch,
     _checked_weight,
+    _cmul,
     _modulus,
     _norms,
     _one,
     _pair,
     _powers,
     _random_parts,
+    _running_powers,
     _shift,
     _subtract,
     _tails,
@@ -124,14 +125,13 @@ def _rescaled(x: _Batch, m: np.ndarray, f: np.ndarray, p: float) -> _Batch:
     """(c / m) * f in every lane c of ``x``, and +0j where the modulus m is 0.
 
     CPython 3.11 turns the float operand into a complex with a +0.0
-    imaginary part, so the quotient is ``_Py_c_quot`` and the product
-    ``_Py_c_prod`` on such a complex, written out here: they decide the
-    sign of a zero part and what an inf or nan part becomes.
+    imaginary part, so the quotient is ``_Py_c_quot`` on such a complex,
+    written out here, and the product is ``_cmul`` with f + 0i: they decide
+    the sign of a zero part and what an inf or nan part becomes.
     """
-    re, im = x.re, x.im
     with np.errstate(all="ignore"):
-        qr, qi = (re + im * 0.0) / m, (im - re * 0.0) / m
-        re, im = qr * f - qi * 0.0, qr * 0.0 + qi * f
+        qr, qi = (x.re + x.im * 0.0) / m, (x.im - x.re * 0.0) / m
+        re, im = _cmul(qr, qi, f, 0.0)
     zero = m == 0.0
     re[zero] = im[zero] = 0.0
     return _Batch(p, re, im, x.bounds)
@@ -210,10 +210,9 @@ def _g(x: _Batch, q: float) -> _Batch:
 def _diag(x: _Batch, ratio: complex) -> _Batch:
     """Lane n-1 of every vector times ratio**(n-1), the powers by running product."""
     pos = x.positions()
-    factors = np.array(list(accumulate(repeat(ratio, int(pos.max(initial=0))), operator.mul, initial=1 + 0j)))
-    a, b = factors.real[pos], factors.imag[pos]
+    factors = _running_powers(ratio, int(pos.max(initial=0)) + 1)
     with np.errstate(all="ignore"):
-        return _Batch(x.p, a * x.re - b * x.im, a * x.im + b * x.re, x.bounds)
+        return _Batch(x.p, *_cmul(factors.real[pos], factors.imag[pos], x.re, x.im), x.bounds)
 
 
 def h_map(x: FinSeqVector, s: float) -> FinSeqVector:

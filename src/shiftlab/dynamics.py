@@ -48,8 +48,10 @@ from .seqspace import (
     RangeError,
     ShiftOperator,
     WeightSequence,
+    _cmul,
     _norm_from_moduli,
     _power_norm,
+    _running_powers,
     check_exponent,
     weights_to_dict,
 )
@@ -115,8 +117,11 @@ class HorizonEvidence:
 
     ``partial_sum`` and ``last_decade_increment`` watch the chaos criterion
     sum(1/|beta(n)|^p); the window extrema watch escape.  Window length is
-    isqrt(horizon): long enough that balanced-block oscillation shows up at
-    large horizons, short enough to probe only the profile's tail.
+    isqrt(horizon), short enough to probe only the profile's tail.  It is
+    not long enough to see balanced-block oscillation whole: near the
+    horizon, pair k of ``BalancedBlocks`` is 2k, about 2 * sqrt(horizon),
+    positions long, so the window covers about half a pair and can miss
+    every return of |beta| to 1 (or every peak).
     """
 
     horizon: int
@@ -511,13 +516,13 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
 
     The coordinates live in two float64 arrays, real and imaginary parts, and
     each step is one slice product with the weights w_1..w_{L-1}, built once.
-    The product is written out as Python's complex multiplication computes
-    it, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, and the moduli come from
-    ``np.hypot``, which is what ``abs`` of a Python complex calls: numpy's
-    complex128 product and modulus do not round the same way.  The powers
-    come from ``np.float_power``, which calls libm's ``pow`` per lane as
-    Python's ``**`` does; ``np.power`` does not round the same way either
-    (see ``_finite_norm``).  Once the support runs out the norms are 0.
+    The product is ``_cmul``, Python's complex multiplication on split
+    parts, and the moduli come from ``np.hypot``, which is what ``abs`` of a
+    Python complex calls: numpy's complex128 product and modulus do not
+    round the same way.  The powers come from ``np.float_power``, which
+    calls libm's ``pow`` per lane as Python's ``**`` does; ``np.power`` does
+    not round the same way either (see ``_finite_norm``).  Once the support
+    runs out the norms are 0.
     """
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
@@ -527,12 +532,10 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
             if x.p != t.p:
                 raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
             w = t.weights.weight_range(0, max(len(re) - 1, 0))
-            a, b = w.real.copy(), w.imag.copy()
             live = min(n, len(re))
             for k in range(1, live + 1):
-                c, d = re[1:], im[1:]
-                m = len(c)
-                re, im = a[:m] * c - b[:m] * d, a[:m] * d + b[:m] * c
+                m = len(re) - 1
+                re, im = _cmul(w.real[:m], w.imag[:m], re[1:], im[1:])
                 norms.append(_finite_norm(np.hypot(re, im), x.p, k))
             norms.extend([0.0] * (n - live))
     return norms
@@ -584,9 +587,9 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
 
     Entry k-1 of the trace is |lam^(k-1)|: the k-th basis vector survives
     exactly k-1 shifts, picking up one weight factor per step, and ends as
-    lam^(k-1) e_1.  So only that one coordinate is carried.  lam^k is formed
-    from lam^(k-1) by Python's complex product (ac - bd) + (ad + bc)i on
-    split parts, into two arrays.  Then one ``np.hypot`` call gives every
+    lam^(k-1) e_1.  So only that one coordinate is carried: the running
+    powers of lam, each Python's complex product of the one before and lam,
+    as the orbit forms them.  Then one ``np.hypot`` call gives every
     modulus, one ``np.float_power`` every power and one more every norm, as
     the power to 1/p (the ``math.fsum`` of one power is that power); a lane
     whose power is not finite takes ``_norm_from_moduli`` of its modulus.
@@ -601,14 +604,10 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     if n < 1:
         raise ValueError(f"need at least one trace entry, got {n}")
     t = ShiftOperator(Constant(lam), p)
-    a, b, c, d = t.weights.value.real, t.weights.value.imag, 1.0, 0.0
-    re, im = np.empty(n), np.empty(n)
-    for k in range(n):
-        re[k], im[k] = c, d
-        c, d = a * c - b * d, a * d + b * c
+    z = _running_powers(t.weights.value, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.hypot(re, im, out=re)
-        powers = np.float_power(m, t.p, out=im)
+        m = np.hypot(z.real, z.imag, out=z.real)  # in the parts' buffer, so no fourth array of n
+        powers = np.float_power(m, t.p, out=z.imag)
         norms = np.float_power(powers, 1.0 / t.p)  # the fsum of one power is that power
     off = np.flatnonzero(~np.isfinite(powers))
     norms[off] = [_norm_from_moduli([v], t.p) for v in m[off].tolist()]

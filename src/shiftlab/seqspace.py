@@ -40,7 +40,9 @@ pair k occupies positions k(k-1)+1 .. k(k+1), the first k of them carrying
 the first value and the remaining k the second.  When ``|a * b| == 1`` the
 running product returns to its starting modulus at every pair boundary,
 which is the mechanism behind the transitive-but-not-mixing and
-not-transitive example operators built on top of this module.
+not-transitive example operators built on top of this module.  Which block
+holds n, and how many positions of each block lie up to n, come from one
+closed form in n, ``_block_counts``, whose counts are exact for n <= 2**52.
 
 Sequence indices are 1-based, as in the paper: w_1 is the first weight,
 ``w.weight_range(0, 1)[0]``, and x_1 the first coordinate, ``x.coords[0]``.
@@ -52,7 +54,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, starmap
+from itertools import accumulate, repeat, starmap
 from typing import Iterator, Union
 
 import numpy as np
@@ -144,10 +146,10 @@ class _Batch:
     ``bounds[j+1] - 1``.  The parts stay apart because numpy's complex128
     product, quotient and modulus do not round as CPython's complex
     arithmetic does.  Written out on the parts as CPython 3.11 computes
-    them, with moduli from ``np.hypot`` (what ``abs`` calls) and powers
-    from ``np.float_power`` (libm's ``pow`` per lane, as ``**``), every lane
-    has the bits of the Python expression.  A public vector function is its
-    kernel run on a batch of one.
+    them, with products from ``_cmul``, moduli from ``np.hypot`` (what
+    ``abs`` calls) and powers from ``np.float_power`` (libm's ``pow`` per
+    lane, as ``**``), every lane has the bits of the Python expression.  A
+    public vector function is its kernel run on a batch of one.
     """
 
     p: float
@@ -174,6 +176,20 @@ class _Batch:
     def positions(self) -> np.ndarray:
         """Each lane's 0-based index within its vector."""
         return np.arange(len(self.re)) - np.repeat(self.bounds[:-1], np.diff(self.bounds))
+
+
+def _cmul(a, b, c, d):
+    """(a + bi)(c + di) on split parts, as CPython multiplies complexes: (ac - bd, ad + bc)."""
+    return a * c - b * d, a * d + b * c
+
+
+def _running_powers(z: complex, n: int) -> np.ndarray:
+    """The n >= 1 running powers 1, z, (1 * z) * z, ... as complex128.
+
+    Each is the Python complex product of the one before and z, as an orbit
+    under z forms it, which need not have the bits of Python's z**k.
+    """
+    return np.fromiter(accumulate(repeat(z, n - 1), operator.mul, initial=1 + 0j), dtype=np.complex128, count=n)
 
 
 def _bounds(sizes) -> np.ndarray:
@@ -443,41 +459,27 @@ class Explicit:
         return {"kind": "explicit", "weights": self._array.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def _shared_and_pair(n: int) -> tuple[int, int]:
-    """The shared count of ``_block_runs`` at position n >= 1, and the pair k that holds n."""
-    k = math.isqrt(n - 1)
-    if n <= k * (k + 1):  # the second block of pair k, whose first k positions are matched
-        return k * (k - 1) // 2 + n - k * k, k
-    return k * (k + 1) // 2, k + 1  # the first block of pair k + 1
+def _block_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, the shared count and d at each float64 position n >= 1, built in place of n.
 
-
-def _block_runs(lo: int, hi: int) -> list[tuple[int, int, bool, int, int]]:
-    """The positions n = lo+1..hi cut into runs that lie in one block each.
-
-    Pair k occupies k(k-1)+1 .. k(k+1): its first block k(k-1)+1 .. k*k and
-    its second block k*k+1 .. k(k+1).  A run ``(start, stop, second, shared,
-    excess)`` covers positions lo+start+1 .. lo+stop of a first or
-    ``second`` block.  Up to its first position, ``shared`` second-block
-    positions are matched by as many first-block ones, and ``excess``
-    first-block positions are left over.  Along a first-block run the
-    excess count rises by one per position; along a second-block run the
-    shared count rises and the excess count falls.
+    Pair k ends at k(k+1), with k = isqrt(n - 1) taken as floor(sqrt(n - 1)),
+    exact for n <= 2**52, as is every count here, and d = n - k(k+1).
+    Position n lies in the second block of pair k when d <= 0 and in the
+    first block of pair k + 1 otherwise.  Up to n, the shared count
+    k(k+1)/2 + min(d, 0) of second-block positions is matched by as many
+    first-block ones, and |d| first-block positions are left over.  ``n`` is
+    overwritten with d, so three float64 arrays of its length are alive at
+    once, and for one step a boolean mask.
     """
-    k = _shared_and_pair(lo + 1)[1]
-    runs = []
-    n = lo
-    while n < hi:
-        c = k * (k - 1) // 2  # the pairs before pair k have c positions in each block
-        if n < k * k:
-            stop, j = min(k * k, hi), n - k * (k - 1)  # n+1 is the (j+1)-th of its block
-            runs.append((n - lo, stop - lo, False, c, j + 1))
-        else:
-            stop, j = min(k * (k + 1), hi), n - k * k
-            runs.append((n - lo, stop - lo, True, c + j + 1, k - j - 1))
-        n = stop
-        if n == k * (k + 1):
-            k += 1
-    return runs
+    k = n - 1.0
+    np.sqrt(k, out=k)
+    np.floor(k, out=k)
+    shared = k + 1.0
+    shared *= k
+    n -= shared
+    shared *= 0.5
+    np.add(shared, n, out=shared, where=n < 0.0)
+    return k, shared, n
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,10 +508,8 @@ class BalancedBlocks:
         return self.b if self.a_first else self.a
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo, dtype=np.complex128)
-        for start, stop, second, _, _ in _block_runs(lo, hi):
-            out[start:stop] = self.second if second else self.first
-        return out
+        d = _block_counts(np.arange(lo + 1, hi + 1, dtype=np.float64))[2]
+        return np.where(d <= 0.0, self.second, self.first)
 
     def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
         """log |beta(n)| for lo < n <= hi: shared * log|first * second| + excess * log|first|.
@@ -518,34 +518,18 @@ class BalancedBlocks:
         first-block ones.  That shared count multiplies log|first * second|
         as an integer, so with |first * second| == 1 the value at every pair
         boundary is exactly 0.0 rather than a sum of opposing rounding
-        errors.  Within a block run both counts step by one, so each run is
-        one addition over slices of two tables built per call, count * log
-        for the counts it spans.  The counts are exact in float64 below
-        2**53, so every entry has the bits of the same two products and one
-        sum formed position by position.
+        errors.  Both counts come from the closed form of ``_block_counts``,
+        exact for n <= 2**52, and the two products and the sum are taken in
+        its arrays, so every entry has the bits of the same two products and
+        one sum formed position by position.
         """
         la, lm = self._logs()
-        runs = _block_runs(lo, hi)
-        # the excess counts of each run, lowest and highest
-        spans = [
-            (e + 1 - (stop - start), e) if second else (e, e + stop - start - 1) for start, stop, second, _, e in runs
-        ]
-        e0 = min((low for low, _ in spans), default=0)
-        excess = np.arange(e0, max((high for _, high in spans), default=0) + 1, dtype=np.float64)
-        excess *= la
-        # the shared counts rise through the second-block runs, each carrying on from the last
-        s0 = next((s for _, _, second, s, _ in runs if second), 0)
-        shared = np.arange(s0, s0 + sum(stop - start for start, stop, second, _, _ in runs if second), dtype=np.float64)
+        _, shared, excess = _block_counts(np.arange(lo + 1, hi + 1, dtype=np.float64))
+        np.abs(excess, out=excess)
         shared *= lm
-        out = np.empty(hi - lo)
-        for start, stop, second, s, e in runs:
-            size = stop - start
-            if second:
-                falling = excess[e + 1 - size - e0 : e + 1 - e0][::-1]
-                np.add(shared[s - s0 : s - s0 + size], falling, out=out[start:stop])
-            else:
-                np.add(excess[e - e0 : e - e0 + size], s * lm, out=out[start:stop])
-        return out
+        excess *= la
+        shared += excess
+        return shared
 
     def _logs(self) -> tuple[float, float]:
         """log|first| and log|first * second|, the two factors of every profile entry."""
@@ -558,13 +542,15 @@ class BalancedBlocks:
         """Each entry is fl(fl(shared * lm) + fl(excess * la)), monotone in both counts.
 
         The shared count rises with n, so it lies between its values at
-        lo+1 and hi, and the excess count lies in [0, k] for the pair k
-        that holds hi.  The same products and sum of those ends bound every
-        entry, in O(1).
+        lo+1 and hi, and the excess count lies in [0, K] for the pair
+        K = k + (d > 0) that holds hi.  The same products and sum of those
+        ends bound every entry, in O(1).
         """
         la, lm = self._logs()
-        (s_lo, _), (s_hi, k) = _shared_and_pair(lo + 1), _shared_and_pair(hi)
-        return min(s_lo * lm, s_hi * lm) + min(0.0, k * la), max(s_lo * lm, s_hi * lm) + max(0.0, k * la)
+        k, shared, d = _block_counts(np.array([lo + 1.0, hi]))
+        s_lo, s_hi = (shared * lm).tolist()
+        e = float(k[1] + (d[1] > 0.0)) * la
+        return min(s_lo, s_hi) + min(0.0, e), max(s_lo, s_hi) + max(0.0, e)
 
     def bound(self) -> float:
         return max(_modulus(self.a), _modulus(self.b))
@@ -658,8 +644,7 @@ def _shift(t: ShiftOperator, x: _Batch) -> _Batch:
     """``t`` applied to every vector of ``x``: each loses its first lane.
 
     The weights come from one ``weight_range`` call up to the longest
-    vector, and lane n-1 of the image is w_(n-1) * x_n, multiplied as
-    CPython multiplies complexes, (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
+    vector, and lane n-1 of the image is w_(n-1) * x_n by ``_cmul``.
     """
     if x.p != t.p:
         raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
@@ -667,9 +652,8 @@ def _shift(t: ShiftOperator, x: _Batch) -> _Batch:
     pos = x.positions()
     keep = pos > 0
     w = t.weights.weight_range(0, int(sizes.max()) - 1) if sizes.max(initial=0) > 1 else np.empty(0, np.complex128)
-    a, b = w.real[pos[keep] - 1], w.imag[pos[keep] - 1]
-    c, d = x.re[keep], x.im[keep]
-    return _Batch(x.p, a * c - b * d, a * d + b * c, _bounds(np.maximum(sizes - 1, 0)))
+    re, im = _cmul(w.real[pos[keep] - 1], w.imag[pos[keep] - 1], x.re[keep], x.im[keep])
+    return _Batch(x.p, re, im, _bounds(np.maximum(sizes - 1, 0)))
 
 
 def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:

@@ -485,6 +485,7 @@ def _blocks_reference(w, lo, hi):
 
 
 _LEAF = dynamics._LEAF  # horizon_evidence asks blocks for chunks of up to _LEAF terms
+_K52 = 2**26 - 1  # pair _K52 ends at 2**52 - 2**26, the last pair end in the exact domain of the counts
 _BLOCK_PAIRS = [
     (2.0, 0.5),
     (1.4 + 0.3j, 0.7j),
@@ -502,7 +503,7 @@ def _pair_boundary(k, which):
 @st.composite
 def _block_ranges(draw):
     if draw(st.booleans()):
-        lo = draw(st.integers(0, 10**8))
+        lo = draw(st.integers(0, 10**9))
     else:  # start where a pair or block ends, or one off it
         lo = max(_pair_boundary(draw(st.integers(1, 10**4)), draw(st.integers(0, 2))) + draw(st.integers(-1, 1)), 0)
     if draw(st.booleans()):
@@ -519,6 +520,9 @@ def _block_ranges(draw):
 @example((BalancedBlocks(1e200, 1e200), 0, 3 * _LEAF))
 @example((BalancedBlocks(1e-200, 1e-200, False), 10**8 - 1, 10**8 + 3 * _LEAF))
 @example((BalancedBlocks(2.0, 0.5), 9999 * 10000, 9999 * 10000))
+@example((BalancedBlocks(2.0, 0.5, False), 10**9 - 3 * _LEAF, 10**9))  # up to the largest --horizon
+@example((BalancedBlocks(1.4 + 0.3j, 0.7j), 0, 1))  # the single position n = 1
+@example((BalancedBlocks(1e200, 1e200), _K52 * (_K52 + 1) - _LEAF, _K52 * (_K52 + 1) + _LEAF))  # below 2**52
 @settings(max_examples=300, deadline=None)
 def test_block_ranges_match_the_position_by_position_reference_bit_for_bit(case):
     w, lo, hi = case
@@ -566,6 +570,9 @@ def _bounded_ranges(draw):
 @example((Constant(-1j), 5, 1000))
 @example((Constant(cmath.rect(1.0, 0.7)), 0, 1000))
 @example((Constant(1e-300), 10**8, 10**8 + 10))
+@example((BalancedBlocks(2.0, 0.5), 10**9 - 3 * _LEAF, 10**9))  # up to the largest --horizon
+@example((BalancedBlocks(0.5, 2.0), 0, 1))  # the single position n = 1
+@example((BalancedBlocks(1.4, 0.55, False), _K52 * (_K52 + 1) - _LEAF, _K52 * (_K52 + 1) + _LEAF))  # below 2**52
 @settings(max_examples=300, deadline=None)
 def test_log_abs_bounds_hold_for_every_profile_entry(case):
     w, lo, hi = case
