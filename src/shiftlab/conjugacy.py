@@ -177,7 +177,7 @@ def _h(x: _Batch, s: float) -> _Batch:
         b[last] = b_s[last] = 0.0
         r = d / b
         near = (m != 0.0) & (b != 0.0) & (r < 1.0)
-        diff = np.where(b == 0.0, a_s, a_s - b_s)
+        diff = a_s - b_s  # b_s is +0.0 wherever b is 0, and a_s - 0.0 is a_s
         diff[a_s == math.inf] = math.inf  # a**s raises before b**s is taken
         lanes = np.flatnonzero(near)
         v = s * np.array(list(map(math.log1p, r[lanes].tolist())))
@@ -246,6 +246,13 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
 # composable steps
 
 
+def _in_domain(step: "Step", x: FinSeqVector) -> FinSeqVector:
+    """``x``, once checked to lie in the space l^p that ``step`` acts on."""
+    if x.p != step.domain_p:
+        raise ValueError(f"step acts on l^{step.domain_p} but vector is in l^{x.p}")
+    return x
+
+
 class _EndoStep:
     """A step from l^p onto itself: both exponents are the step's ``p``."""
 
@@ -272,7 +279,7 @@ class HStep(_EndoStep):
             raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return h_map(x, self.s)
+        return h_map(_in_domain(self, x), self.s)
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _h(x, self.s)
@@ -300,7 +307,7 @@ class GStep:
         return self.q
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return g_map(x, self.q)
+        return g_map(_in_domain(self, x), self.q)
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _g(x, self.q)
@@ -332,9 +339,7 @@ class DiagStep(_EndoStep):
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
         """Multiply coordinate n by ratio**(n-1), by running product."""
-        if x.p != self.p:
-            raise ValueError(f"step acts on l^{self.p} but vector is in l^{x.p}")
-        return _diag(_one(x), self.ratio).vectors()[0]
+        return _diag(_one(_in_domain(self, x)), self.ratio).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _diag(x, self.ratio)

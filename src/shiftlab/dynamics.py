@@ -49,7 +49,6 @@ from .seqspace import (
     ShiftOperator,
     WeightSequence,
     _cmul,
-    _norm_from_moduli,
     _power_norm,
     _running_powers,
     check_exponent,
@@ -547,7 +546,8 @@ def _finite_norm(moduli: np.ndarray, p: float, step: int) -> float:
     The powers come from ``np.float_power``, which calls libm's ``pow``
     lane by lane as Python's ``**`` does (``np.power`` is vectorized and
     does not round the same way; ``tests/test_dynamics.py`` pins that), and
-    ``_power_norm`` sums them.  Call it under ``np.errstate(over="ignore")``:
+    ``_power_norm`` sums them, or takes the scaled form when their sum
+    leaves float range.  Call it under ``np.errstate(over="ignore")``:
     a power beyond float range is inf here, where ``**`` raises.
     """
     norm = _power_norm(np.float_power(moduli, p).tolist(), moduli, p)
@@ -592,7 +592,9 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     as the orbit forms them.  Then one ``np.hypot`` call gives every
     modulus, one ``np.float_power`` every power and one more every norm, as
     the power to 1/p (the ``math.fsum`` of one power is that power); a lane
-    whose power is not finite takes ``_norm_from_moduli`` of its modulus.
+    whose power is not finite takes its modulus as its norm, which is what
+    ``_power_norm`` gives for one modulus: M * 1.0 for a finite M, and M
+    itself when it is inf or nan.
     That is bit for bit the trace of the orbit of e_n under
     ``orbit_norms``, whose other coordinates are exact zeros.  The trace
     demonstrates geometric escape (|lam| > 1), constancy (|lam| = 1), or
@@ -609,8 +611,7 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
         m = np.hypot(z.real, z.imag, out=z.real)  # in the parts' buffer, so no fourth array of n
         powers = np.float_power(m, t.p, out=z.imag)
         norms = np.float_power(powers, 1.0 / t.p)  # the fsum of one power is that power
-    off = np.flatnonzero(~np.isfinite(powers))
-    norms[off] = [_norm_from_moduli([v], t.p) for v in m[off].tolist()]
+    np.copyto(norms, m, where=~np.isfinite(powers))  # the scaled norm of one modulus is that modulus
     bad = ~np.isfinite(norms)
     if bad.any():
         k = int(np.argmax(bad))

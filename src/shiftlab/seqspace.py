@@ -201,38 +201,28 @@ def _one(x: FinSeqVector) -> _Batch:
     return _Batch.of(x.p, [c.view(np.float64).reshape(-1, 2)])
 
 
-def _norm_from_moduli(moduli: list[float], p: float) -> float:
-    """(sum m**p)**(1/p) over the moduli, with a correctly rounded power sum.
-
-    When the power sum overflows although the norm itself may fit, the
-    largest modulus M is factored out (J. L. Blue, ACM TOMS 4, 1978;
-    E. Anderson, ACM TOMS 44, 2017): M * (sum (m/M)**p)**(1/p).  Sums that
-    fit never take that branch, so their bits are those of the direct form.
-    The result is inf when the norm is beyond float range or a modulus is
-    inf, and nan when a modulus is nan.
-    """
-    try:
-        return math.fsum([m**p for m in moduli]) ** (1.0 / p)
-    except OverflowError:
-        top = max(moduli)
-        if top == math.inf:  # inf/inf would be nan; the sum of the moduli is inf, or nan with a nan
-            return math.fsum(moduli)
-        return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
-
-
 def _power_norm(powers: list[float], moduli: np.ndarray, p: float) -> float:
-    """The l^p norm of ``moduli``, as ``_norm_from_moduli`` gives it, from their powers m**p.
+    """The l^p norm (sum m**p)**(1/p) of ``moduli``, from their powers m**p.
 
-    ``np.float_power`` gives those powers with the bits of ``**``.  When
-    their ``math.fsum`` is finite the norm is that sum to the power 1/p;
-    any other case (a power or the sum beyond float range, an inf or nan
-    modulus) is left to ``_norm_from_moduli``, which decides it in one place.
+    ``np.float_power`` gives those powers with the bits of ``**``, and their
+    ``math.fsum`` is correctly rounded.  When that sum is not finite, the
+    largest modulus M decides: the norm is M itself when M is inf or nan,
+    and otherwise M is factored out (J. L. Blue, ACM TOMS 4, 1978;
+    E. Anderson, ACM TOMS 44, 2017): M * (sum (m/M)**p)**(1/p), with m/M
+    and its powers taken by numpy with the bits of ``/`` and ``**``.  Sums
+    that fit never take that branch, so their bits are those of the direct
+    form.  The result is inf when the norm is beyond float range.
     """
     try:
         total = math.fsum(powers)
     except OverflowError:  # finite powers whose sum is beyond float range
         total = math.inf
-    return total ** (1.0 / p) if total < math.inf else _norm_from_moduli(moduli.tolist(), p)
+    if total < math.inf:
+        return total ** (1.0 / p)
+    top = float(moduli.max())
+    if not math.isfinite(top):  # inf/inf would be nan; an inf modulus makes the norm inf, a nan one nan
+        return top
+    return top * math.fsum(np.float_power(moduli / top, p).tolist()) ** (1.0 / p)
 
 
 def _norms(moduli: np.ndarray, bounds: list[int], p: float) -> list[float]:

@@ -249,11 +249,14 @@ def test_diagstep_rejects_zero_ratio():
 
 
 def test_diag_step_multiplies_geometric_phases():
-    st_ = DiagStep(2.0, 1j)
-    y = st_.apply(FinSeqVector(2.0, (1, 1, 1, 1)))
+    y = DiagStep(2.0, 1j).apply(FinSeqVector(2.0, (1, 1, 1, 1)))
     assert y.coords == (1 + 0j, 1j, -1 + 0j, -1j)
-    with pytest.raises(ValueError, match="step acts on l"):
-        st_.apply(FinSeqVector(1.0, (1,)))
+
+
+@pytest.mark.parametrize("step", [HStep(2.0, 2.0), GStep(2.0, 4.0), DiagStep(2.0, 1j)])
+def test_step_rejects_a_vector_outside_its_domain(step):
+    with pytest.raises(ValueError, match=r"step acts on l\^2\.0 but vector is in l\^3\.0"):
+        step.apply(FinSeqVector(3.0, (1, 2)))
 
 
 def test_conjugacy_map_validates_chain():

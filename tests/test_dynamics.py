@@ -648,6 +648,8 @@ def _orbit_cases(draw):
 @example((ShiftOperator(Constant(1.1), 2.0), FinSeqVector(2.0, (1, 1, 1, 1, 1e308 + 1e308j)), 4))
 # a nan coordinate beside a power that overflows
 @example((ShiftOperator(Constant(2), 2.0), FinSeqVector(2.0, (1e200, complex(math.nan, 0.0))), 1))
+# an inf modulus beside finite moduli whose sum overflows
+@example((ShiftOperator(Constant(1), 1.0), FinSeqVector(1.0, (complex(1.5e308, 1.5e308), 1.7e308, 1.7e308)), 0))
 @settings(max_examples=150)
 def test_orbit_norms_bit_identical_to_repeated_application(case):
     # the same norms, or a RangeError naming the first step whose norm is inf or nan
@@ -781,12 +783,20 @@ def test_escape_demo_is_the_orbit_of_the_last_basis_vector(lam, p):
         assert trace.norms[k - 1] == _iterated_norms(t, e_k, k - 1)[-1]
 
 
-@pytest.mark.parametrize("lam", [10.0, complex(1e200, 1e200), complex(-1e200, 1e200), complex(1e154, -1e154), 1e-10])
-def test_escape_demo_ends_as_the_orbit_of_the_last_basis_vector_ends(lam):
+@pytest.mark.parametrize(
+    "lam, p",
+    [
+        pytest.param(lam, p, id=f"{lam}" if p == 2.0 else f"{lam}-p{p:g}")  # p = 2 keeps the ids it had alone
+        for p in (2.0, 1.0, 8.0)
+        for lam in (10.0, complex(1e200, 1e200), complex(-1e200, 1e200), complex(1e154, -1e154), 1e-10)
+    ],
+)
+def test_escape_demo_ends_as_the_orbit_of_the_last_basis_vector_ends(lam, p):
     # the same norms, or the same error at the same step, once the live
-    # coordinate leaves float range or underflows
+    # coordinate leaves float range or underflows; at p = 8 the power of
+    # 10^k overflows from k = 39 on while its norm fits up to k = 308
     n = 400
-    e_n = FinSeqVector(2.0, (0j,) * (n - 1) + (1 + 0j,))
+    e_n = FinSeqVector(p, (0j,) * (n - 1) + (1 + 0j,))
 
     def outcome(f):
         try:
@@ -794,8 +804,8 @@ def test_escape_demo_ends_as_the_orbit_of_the_last_basis_vector_ends(lam):
         except RangeError as e:
             return str(e)
 
-    orbit = outcome(lambda: orbit_norms(ShiftOperator(Constant(lam), 2.0), e_n, n - 1))
-    assert outcome(lambda: escape_demo(lam, 2.0, n)) == orbit
+    orbit = outcome(lambda: orbit_norms(ShiftOperator(Constant(lam), p), e_n, n - 1))
+    assert outcome(lambda: escape_demo(lam, p, n)) == orbit
 
 
 def test_escape_demo_beyond_squared_float_range():

@@ -86,6 +86,8 @@ def test_lp_norm_of_a_nan_coordinate_is_nan_after_any_earlier_overflow():
     # also when another coordinate's power overflows first
     assert lp_norm(FinSeqVector(2.0, (1e200, complex(1.5e308, 1.5e308)))) == math.inf
     assert math.isnan(lp_norm(FinSeqVector(2.0, (1e200, complex(1.5e308, 1.5e308), complex(math.nan, 0)))))
+    # and when the finite moduli beside an inf one sum beyond float range
+    assert lp_norm(FinSeqVector(1.0, (complex(1.5e308, 1.5e308), 1.7e308, 1.7e308))) == math.inf
 
 
 @given(vectors)
