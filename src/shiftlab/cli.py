@@ -405,7 +405,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"shiftlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    c = subs.add_parser("classify", parents=[], help="dynamical class of a weight sequence")
+    c = subs.add_parser("classify", help="dynamical class of a weight sequence")
     c.add_argument("--weights", required=True, help="weight descriptor")
     c.add_argument("--p", type=float, default=None, help="space exponent (default 2)")
     c.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help=f"{MIN_HORIZON} <= horizon <= {MAX_HORIZON}")

@@ -60,6 +60,7 @@ from .seqspace import (
     _Batch,
     _checked_weight,
     _cmul,
+    _in_space,
     _modulus,
     _norms,
     _one,
@@ -246,13 +247,6 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
 # composable steps
 
 
-def _in_domain(step: "Step", x: FinSeqVector) -> FinSeqVector:
-    """``x``, once checked to lie in the space l^p that ``step`` acts on."""
-    if x.p != step.domain_p:
-        raise ValueError(f"step acts on l^{step.domain_p} but vector is in l^{x.p}")
-    return x
-
-
 class _EndoStep:
     """A step from l^p onto itself: both exponents are the step's ``p``."""
 
@@ -279,7 +273,7 @@ class HStep(_EndoStep):
             raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return h_map(_in_domain(self, x), self.s)
+        return h_map(_in_space(self.p, x, "step"), self.s)
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _h(x, self.s)
@@ -307,7 +301,7 @@ class GStep:
         return self.q
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return g_map(_in_domain(self, x), self.q)
+        return g_map(_in_space(self.p, x, "step"), self.q)
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _g(x, self.q)
@@ -339,7 +333,7 @@ class DiagStep(_EndoStep):
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
         """Multiply coordinate n by ratio**(n-1), by running product."""
-        return _diag(_one(_in_domain(self, x)), self.ratio).vectors()[0]
+        return _diag(_one(_in_space(self.p, x, "step")), self.ratio).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _diag(x, self.ratio)
@@ -377,8 +371,7 @@ class ConjugacyMap:
             )
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        if x.p != self.domain_p:
-            raise ValueError(f"map acts on l^{self.domain_p} but vector is in l^{x.p}")
+        _in_space(self.domain_p, x, "map")
         for st in self.steps:
             x = st.apply(x)
         return x

@@ -48,7 +48,9 @@ from .seqspace import (
     RangeError,
     ShiftOperator,
     WeightSequence,
+    _LEAF,
     _cmul,
+    _in_space,
     _power_norm,
     _running_powers,
     check_exponent,
@@ -177,12 +179,11 @@ def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
     return w.log_abs_profile(0, n)
 
 
-# Ranges of at most this many terms are leaves of the streamed pairwise sums:
-# each is summed by one np.sum call.  The terms are computed in chunks of this
-# many, so the rolling buffer of terms in flight holds twice this size.
-_LEAF = 1 << 13
-
-# In a tree walk, the marker that says: add the two sums on top of the stack.
+# The streamed pairwise sums take ranges of at most _LEAF terms as leaves,
+# each summed by one np.sum call; the terms are computed in chunks of that
+# many, so the rolling buffer of terms in flight holds twice that size.
+# In a tree walk, _ADD is the marker that says: add the two sums on top of
+# the stack.
 _ADD = None
 
 
@@ -225,9 +226,8 @@ def _exp_in_place(terms: np.ndarray) -> None:
     than on one with a normal result.  The chunk's first and last terms,
     two float reads, pick the route:
 
-    * an end below _EXP_LOW: a chunk wholly below is filled with 0.0;
-      otherwise ``np.exp`` runs with ``where=`` on the other lanes and the
-      lanes below get 0.0.
+    * an end below _EXP_LOW: ``np.exp`` runs with ``where=`` on the other
+      lanes, if any, and the lanes below get 0.0.
     * both ends above _EXP_HIGH, and so is the chunk's min: filled with inf.
     * anything else, such as every chunk of a profile that stays in range:
       ``np.exp`` on the whole chunk.
@@ -237,18 +237,15 @@ def _exp_in_place(terms: np.ndarray) -> None:
     vector loop rounds each lane on its own, whatever its neighbours, so
     the kept lanes keep their bits; ``tests/test_dynamics.py`` pins that.
     A nan is not below, and makes the min nan, so a chunk that holds one
-    never gets a fill.  Overflow lanes of a mixed chunk stay inside
+    never gets the inf fill.  Overflow lanes of a mixed chunk stay inside
     ``np.exp``, since masking them measured slower, and so do subnormal
     results, which only ``np.exp`` rounds right.
     """
     first, last = terms.item(0), terms.item(-1)
     if first < _EXP_LOW or last < _EXP_LOW:
         low = terms < _EXP_LOW
-        if low.all():
-            terms.fill(0.0)
-        else:
-            np.exp(terms, out=terms, where=~low)
-            np.copyto(terms, 0.0, where=low)
+        np.exp(terms, out=terms, where=~low)
+        np.copyto(terms, 0.0, where=low)
     elif first > _EXP_HIGH < last and terms.min() > _EXP_HIGH:
         terms.fill(math.inf)
     else:
@@ -349,11 +346,11 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
     law most terms are exactly 0.0 or inf.  Where all are from some n0 on,
     ``log_abs_bounds`` finds that suffix in O(log horizon) calls and the
     sums take each tree node inside it as its one value, so the sweep is
-    O(n0 + log horizon), not O(horizon).  Before n0, where
-    ``np.exp`` is 3-100 times slower per saturated lane, a chunk whose
-    terms are all below -750 or all above 710 is filled with the value
-    ``np.exp`` gives there, and a chunk with some lanes below -750 runs
-    ``np.exp`` on the others only.  A chunk whose first and last terms are
+    O(n0 + log horizon), not O(horizon).  Before n0, where ``np.exp`` is
+    3-100 times slower per saturated lane, a chunk with an end below -750
+    runs ``np.exp`` only on its lanes at or above -750 and gives the rest
+    0.0, and a chunk whose terms are all above 710 is filled with inf, the
+    values ``np.exp`` gives there.  A chunk whose first and last terms are
     in range, such as every power-law chunk, goes to ``np.exp`` whole, as
     do subnormal and overflowing lanes of a mixed chunk, so each term
     keeps the bits of ``np.exp``.
@@ -528,8 +525,7 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         norms = [_finite_norm(np.hypot(re, im), x.p, 0)]
         if n >= 1:
-            if x.p != t.p:
-                raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
+            _in_space(t.p, x, "operator")
             w = t.weights.weight_range(0, max(len(re) - 1, 0))
             live = min(n, len(re))
             for k in range(1, live + 1):

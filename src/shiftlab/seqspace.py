@@ -160,7 +160,7 @@ class _Batch:
     @classmethod
     def of(cls, p: float, parts: list[np.ndarray]) -> "_Batch":
         """The batch of vectors given as (n, 2) arrays of real and imaginary parts, in order."""
-        both = np.concatenate(parts) if parts else np.empty((0, 2))
+        both = np.concatenate(parts)
         return cls(p, both[:, 0].copy(), both[:, 1].copy(), _bounds([len(a) for a in parts]))
 
     def vectors(self) -> list[FinSeqVector]:
@@ -176,6 +176,13 @@ class _Batch:
     def positions(self) -> np.ndarray:
         """Each lane's 0-based index within its vector."""
         return np.arange(len(self.re)) - np.repeat(self.bounds[:-1], np.diff(self.bounds))
+
+
+def _in_space(p: float, x, what: str):
+    """``x``, a vector or batch, once checked to lie in l^p, the space that ``what`` acts on."""
+    if x.p != p:
+        raise ValueError(f"{what} acts on l^{p} but vector is in l^{x.p}")
+    return x
 
 
 def _cmul(a, b, c, d):
@@ -449,6 +456,13 @@ class Explicit:
         return {"kind": "explicit", "weights": self._array.view(np.float64).reshape(-1, 2).tolist()}
 
 
+# Long ranges are built in pieces of at most this many positions, so the
+# memory beyond the output does not grow with the range: block profiles
+# here, and the streamed chaos sums in ``dynamics``, whose leaves are ranges
+# of at most this many terms.
+_LEAF = 1 << 13
+
+
 def _block_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k, the shared count and d at each float64 position n >= 1, built in place of n.
 
@@ -459,7 +473,9 @@ def _block_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k(k+1)/2 + min(d, 0) of second-block positions is matched by as many
     first-block ones, and |d| first-block positions are left over.  ``n`` is
     overwritten with d, so three float64 arrays of its length are alive at
-    once, and for one step a boolean mask.
+    once, and for one step a boolean mask.  ``log_abs_profile`` passes it
+    pieces of _LEAF positions of its output, so there that is three arrays
+    per piece, one of them the piece itself.
     """
     k = n - 1.0
     np.sqrt(k, out=k)
@@ -511,15 +527,20 @@ class BalancedBlocks:
         errors.  Both counts come from the closed form of ``_block_counts``,
         exact for n <= 2**52, and the two products and the sum are taken in
         its arrays, so every entry has the bits of the same two products and
-        one sum formed position by position.
+        one sum formed position by position.  The output starts as the
+        positions and ``_block_counts`` takes it in pieces of _LEAF, each
+        overwritten with its excess counts and then its entries, so the
+        memory beyond the output is that of one piece.
         """
         la, lm = self._logs()
-        _, shared, excess = _block_counts(np.arange(lo + 1, hi + 1, dtype=np.float64))
-        np.abs(excess, out=excess)
-        shared *= lm
-        excess *= la
-        shared += excess
-        return shared
+        out = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        for start in range(0, hi - lo, _LEAF):
+            _, shared, excess = _block_counts(out[start : start + _LEAF])
+            np.abs(excess, out=excess)
+            shared *= lm
+            excess *= la
+            excess += shared
+        return out
 
     def _logs(self) -> tuple[float, float]:
         """log|first| and log|first * second|, the two factors of every profile entry."""
@@ -546,15 +567,16 @@ class BalancedBlocks:
         return max(_modulus(self.a), _modulus(self.b))
 
     def analytic_label(self, p: float) -> str:
-        m = abs(self.a) * abs(self.b)
-        # Pair k multiplies |beta| by m^k overall, with an in-pair excursion
-        # of factor |first|^k.  m decides escape; on the balanced ridge
-        # m == 1 the excursions alone decide transitivity.
-        if m > 1.0:
+        la, lm = self._logs()
+        # Pair k multiplies |beta| by |first * second|^k overall, with an
+        # in-pair excursion of factor |first|^k.  The sign of lm decides
+        # escape; on the balanced ridge lm == 0 the excursions alone, by the
+        # sign of la, decide transitivity.
+        if lm > 0.0:
             return "Chaotic"
-        if m < 1.0:
+        if lm < 0.0:
             return "NotTransitive"
-        if abs(self.first) > 1.0:
+        if la > 0.0:
             return "TransitiveNotMixing"
         return "NotTransitive"
 
@@ -636,8 +658,7 @@ def _shift(t: ShiftOperator, x: _Batch) -> _Batch:
     The weights come from one ``weight_range`` call up to the longest
     vector, and lane n-1 of the image is w_(n-1) * x_n by ``_cmul``.
     """
-    if x.p != t.p:
-        raise ValueError(f"operator is on l^{t.p} but vector is in l^{x.p}")
+    _in_space(t.p, x, "operator")
     sizes = np.diff(x.bounds)
     pos = x.positions()
     keep = pos > 0

@@ -31,6 +31,7 @@ from shiftlab import (
     lp_norm,
     map_to_dict,
     max_coord_diff,
+    orbit_norms,
     random_vectors,
     subtract,
     tail_power_sums,
@@ -253,10 +254,22 @@ def test_diag_step_multiplies_geometric_phases():
     assert y.coords == (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-@pytest.mark.parametrize("step", [HStep(2.0, 2.0), GStep(2.0, 4.0), DiagStep(2.0, 1j)])
-def test_step_rejects_a_vector_outside_its_domain(step):
-    with pytest.raises(ValueError, match=r"step acts on l\^2\.0 but vector is in l\^3\.0"):
-        step.apply(FinSeqVector(3.0, (1, 2)))
+@pytest.mark.parametrize(
+    "call,subject",
+    [
+        (HStep(2.0, 2.0).apply, "step"),
+        (GStep(2.0, 4.0).apply, "step"),
+        (DiagStep(2.0, 1j).apply, "step"),
+        (ConjugacyMap((HStep(2.0, 2.0),), 2.0, 2.0).apply, "map"),
+        (ConjugacyMap((), 2.0, 2.0).apply, "map"),
+        (lambda x: apply_shift(ShiftOperator(Constant(2), 2.0), x), "operator"),
+        (lambda x: orbit_norms(ShiftOperator(Constant(2), 2.0), x, 1), "operator"),
+    ],
+)
+def test_step_rejects_a_vector_outside_its_domain(call, subject):
+    # one rule for every map that acts on one l^p: a vector from another is refused
+    with pytest.raises(ValueError, match=rf"^{subject} acts on l\^2\.0 but vector is in l\^3\.0$"):
+        call(FinSeqVector(3.0, (1, 2)))
 
 
 def test_conjugacy_map_validates_chain():

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -94,12 +94,39 @@ def test_classify_powerlaw(alpha, p, label):
         (4.0, 0.5, False, "Chaotic"),
         (1.5, 0.5, True, "NotTransitive"),  # |ab| < 1
         (0.25, 2.0, True, "NotTransitive"),
+        (1e200, 1e200, True, "Chaotic"),  # |ab| overflows
+        (1e-200, 1e-200, True, "NotTransitive"),  # |ab| underflows
+        (2.0**600, 2.0**-600, True, "TransitiveNotMixing"),  # an exact ridge
+        (2.0**-600, 2.0**600, True, "NotTransitive"),
+        (math.nextafter(1, 2), 1.0, True, "Chaotic"),  # |ab| one ulp off 1
+        (math.nextafter(1, 0), 1.0, True, "NotTransitive"),
     ],
 )
 def test_classify_blocks(a, b, a_first, label):
     v = classify(BalancedBlocks(a, b, a_first), 2.0)
     assert v.label == label
     assert v.confidence == Confidence.ANALYTIC
+
+
+# moduli over the whole float range, subnormals included, and near 1
+_block_moduli = st.floats(5e-324, 1e300) | st.floats(0.5, 2.0) | st.sampled_from([1.0, 2.0**600, 2.0**-600])
+
+
+@given(_block_moduli, _block_moduli, st.booleans(), st.booleans(), st.floats(-math.pi, math.pi))
+@example(1e200, 1e200, False, True, 0.0)
+@example(1e-200, 1e-200, False, False, 0.0)
+@example(3.0, 0.0, True, True, 0.0)
+@example(2.0**-600, 0.0, True, True, 1.0)
+@settings(max_examples=500, deadline=None)
+def test_blocks_label_is_the_rule_of_the_float_product(ma, mb, ridge, a_first, phase):
+    # the label is decided from the logs of |first| and |first * second|; it
+    # must be the rule of the float product |a| * |b| against 1, then |first|
+    b = 1.0 / ma if ridge else mb
+    assume(b < math.inf)
+    w = BalancedBlocks(cmath.rect(ma, phase), b, a_first)
+    m = abs(w.a) * abs(w.b)
+    expected = "Chaotic" if m > 1.0 else "NotTransitive" if m < 1.0 or abs(w.first) <= 1.0 else "TransitiveNotMixing"
+    assert w.analytic_label(2.0) == expected
 
 
 def test_classify_validates_inputs():
@@ -287,8 +314,9 @@ def _jump_at(n0, length):
 @example((Explicit(tuple(np.random.default_rng(0).uniform(0.97, 1.03, 100_003))), 2.7, 100_003))
 @example((BalancedBlocks(1.01, 0.99, False), 1.0, 16 * _LEAF + 7))
 @example((PowerLawBeta(0.37), 8.0, 99_999))
-# the routes of _exp_in_place: chunks wholly below -750, wholly above 710,
-# mixed underflow with subnormal results, mixed overflow, and +-inf profiles
+# the routes of _exp_in_place: chunks wholly below -750 (masked, with no lane
+# kept), wholly above 710 (filled), mixed underflow with subnormal results,
+# mixed overflow, and +-inf profiles
 @example((Constant(1.15), 2.0, 16 * _LEAF + 3))
 @example((Constant(0.9), 2.0, 16 * _LEAF + 1))
 @example((BalancedBlocks(2.0, 0.5), 2.0, 600_011))
@@ -704,7 +732,7 @@ def test_orbit_norms_checks_operator_only_when_stepping():
         orbit_norms(short, x, 1)
     other_p = ShiftOperator(Constant(2), 3.0)
     assert orbit_norms(other_p, x, 0).norms == (lp_norm(x),)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"operator acts on l\^3\.0 but vector is in l\^2\.0"):
         orbit_norms(other_p, x, 1)
 
 

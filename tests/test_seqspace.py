@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,7 +487,7 @@ def _blocks_reference(w, lo, hi):
     return np.where(t <= 0, w.first, w.second), profile
 
 
-_LEAF = dynamics._LEAF  # horizon_evidence asks blocks for chunks of up to _LEAF terms
+_LEAF = dynamics._LEAF  # horizon_evidence asks for chunks of up to _LEAF terms; blocks build pieces of _LEAF
 _K52 = 2**26 - 1  # pair _K52 ends at 2**52 - 2**26, the last pair end in the exact domain of the counts
 _BLOCK_PAIRS = [
     (2.0, 0.5),
@@ -534,6 +535,17 @@ def test_block_ranges_match_the_position_by_position_reference_bit_for_bit(case)
     assert got_weights.tobytes() == weights.tobytes()
     assert got_profile.dtype == profile.dtype == np.float64
     assert got_profile.tobytes() == profile.tobytes()
+
+
+def test_whole_range_block_profile_takes_little_more_memory_than_its_output():
+    w = BalancedBlocks(2.0, 0.5)
+    tracemalloc.start()
+    try:
+        w.log_abs_profile(0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * 10**6  # the output is 10**6 float64 entries, 7.63 MiB
 
 
 _FAMILIES = [
@@ -713,7 +725,7 @@ def test_apply_shift_drops_first_coordinate():
 
 def test_apply_shift_exponent_mismatch():
     t = ShiftOperator(Constant(2), 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"operator acts on l\^2\.0 but vector is in l\^1\.0"):
         apply_shift(t, FinSeqVector(1.0, (1,)))
 
 
