@@ -83,6 +83,10 @@ SCENARIOS = {
     "orbit T3 box:2000 --n 2000": ["orbit", "--op", "example:T3", "--point", "box:2000", "--n", "2000"],
     "orbit escape --n 300": ["orbit", "--op", "constant:2", "--point", "escape", "--n", "300"],
     "apply-map --h s=2 --roundtrip 4096": ["apply-map", "--h", "s=2", "--roundtrip", "--in", "{vec}"],
+    "apply-map --g q=3 --roundtrip 4096": ["apply-map", "--g", "q=3", "--roundtrip", "--in", "{vec}"],
+    "apply-map --diag 0.6,0.8:0.8,-0.6 --roundtrip 4096": [
+        "apply-map", "--diag", "0.6,0.8:0.8,-0.6", "--roundtrip", "--in", "{vec}"
+    ],
 }
 
 

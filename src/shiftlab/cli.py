@@ -29,8 +29,8 @@ Values that start with a dash (negative weights) must use the
 A vector file for ``apply-map`` holds one JSON object: ``p`` is a number or
 numeric string with 1 <= p < inf, and ``coords`` is a list whose entries
 are each an ``[re, im]`` pair or a bare real, every real a finite number or
-numeric string.  Anything else exits 1 with an ``error:`` line naming the
-field.
+numeric string (``true`` and ``false`` are not numbers).  Anything else
+exits 1 with an ``error:`` line naming the field.
 
 Sizes have fixed maxima, since work or memory grows with each:
 ``--horizon`` at most 10**9, ``--samples`` at most 10**5, and ``orbit``'s
@@ -87,11 +87,12 @@ from .seqspace import (
     FinSeqVector,
     PowerLawBeta,
     ShiftOperator,
+    _NUMBERS,
+    _read_vector,
+    _subtract,
+    _vector_dict,
     check_exponent,
-    max_coord_diff,
     random_vectors,
-    vector_from_dict,
-    vector_to_dict,
     weights_to_dict,
 )
 
@@ -227,8 +228,7 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode
-_NUMBERS = {int, float}  # exact types: a bool is not a number here
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _dumps(obj: object, indent: str = "\n") -> str:
@@ -238,8 +238,12 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     set.  Here dicts, whose keys must be str, are walked in Python, but every scalar, and every list
     of numbers or of nonempty number lists (``coords``, ``weights``), is
     encoded compactly by the C encoder in one call and then re-indented with
-    ``str.replace``: a number's text holds no comma or bracket.  ``indent``
-    is the newline and indentation that precede this value's closing bracket.
+    ``str.replace``: a number's text holds no comma or bracket.  That
+    encoder skips the circular-reference check, since every payload is a
+    tree that a command builds afresh; ``apply-map``'s image coordinates
+    reach it as the one list ``tolist`` makes of the image's parts.
+    ``indent`` is the newline and indentation that precede this value's
+    closing bracket.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -368,8 +372,18 @@ def _parse_param(token: str, name: str) -> float:
 
 
 def _cmd_apply_map(args: argparse.Namespace) -> int:
+    """Apply one map to a vector file, as one ``seqspace._Batch`` from file to stdout.
+
+    The file is read straight into split float64 parts (``_read_vector``),
+    mapped and, with ``--roundtrip``, inverted by the maps' batch kernels
+    (``on_batch``), and the image is written from its parts
+    (``_vector_dict``).  The round-trip deviation is the largest modulus
+    of the lane differences, ``np.hypot`` of the parts, which has the bits
+    of ``abs`` of the complex difference.  The bytes are those of the
+    one-vector functions.
+    """
     with open(args.infile, encoding="utf-8") as f:
-        x = vector_from_dict(json.load(f))
+        x = _read_vector(json.load(f))
     if args.h is not None:
         phi = ConjugacyMap((HStep(x.p, _parse_param(args.h, "s")),), x.p, x.p)
     elif args.g is not None:
@@ -380,11 +394,11 @@ def _cmd_apply_map(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise ValueError(f"cannot parse {args.diag!r}; expected <lam>:<omega>")
         phi = diag_similarity(_parse_scalar(parts[0]), _parse_scalar(parts[1]), x.p)
-    image = phi.apply(x)
-    result: dict = {"map": map_to_dict(phi), "image": vector_to_dict(image)}
+    image = phi.on_batch(x)
+    result: dict = {"map": map_to_dict(phi), "image": _vector_dict(image)}
     if args.roundtrip:
-        back = phi.inverse().apply(image)
-        result["roundtrip_max_deviation"] = max_coord_diff(x, back)
+        back = phi.inverse().on_batch(image)
+        result["roundtrip_max_deviation"] = max(_subtract(x, back).moduli().tolist(), default=0.0)
     config = {"in": args.infile, "roundtrip": args.roundtrip}
     _emit_json(_payload("apply-map", config, result, args.seed), args.out)
     return 0

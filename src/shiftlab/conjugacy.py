@@ -371,10 +371,8 @@ class ConjugacyMap:
             )
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        _in_space(self.domain_p, x, "map")
-        for st in self.steps:
-            x = st.apply(x)
-        return x
+        """``on_batch`` of ``x`` as a batch of one."""
+        return self.on_batch(_one(_in_space(self.domain_p, x, "map"))).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         for st in self.steps:

@@ -53,8 +53,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, chain, repeat, starmap
 from typing import Iterator, Union
 
 import numpy as np
@@ -713,38 +714,90 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _vector_dict(x: _Batch) -> dict:
+    """The ``vector_to_dict`` form of a batch of one vector, written from its parts."""
+    return {"p": x.p, "coords": np.stack([x.re, x.im], axis=1).tolist()}
+
+
 def vector_to_dict(x: FinSeqVector) -> dict:
-    """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``."""
-    return {"p": x.p, "coords": [[c.real, c.imag] for c in x.coords]}
+    """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``.
+
+    This is ``_vector_dict``, which the CLI writes images with, of ``x`` as
+    a batch of one.
+    """
+    return _vector_dict(_one(x))
 
 
-def vector_from_dict(d: object) -> FinSeqVector:
-    """The vector of a ``vector_to_dict`` form, checked in one pass.
+_NUMBERS = {int, float}  # exact types: a JSON true or false is not a number here
 
-    ``d`` must be a dict.  Its ``p`` is anything ``check_exponent`` takes,
-    and its ``coords`` a list whose entries are each an ``[re, im]`` pair or
-    a bare real, where a real is a number or a numeric string, as for ``p``.
-    Every coordinate must be finite.  The first field that breaks this
-    raises ``ValueError`` naming it.
+
+def _coordinate(n: int, v: object) -> tuple[float, float]:
+    """The parts of entry n of ``coords``, or ``ValueError`` naming it."""
+    re, im = v if type(v) is list and len(v) == 2 else (v, 0.0)
+    try:
+        if bool in (type(re), type(im)):
+            raise TypeError
+        z = complex(float(re), float(im))
+    except OverflowError:
+        raise ValueError(f"coordinate {n} is an integer beyond float range") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"coordinate {n} must be an [re, im] pair or a real, got {v!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"coordinate {n} must be finite, got {z!r}")
+    return z.real, z.imag
+
+
+def _coord_parts(coords: list) -> np.ndarray:
+    """The (n, 2) float64 real and imaginary parts of the entries of ``coords``.
+
+    When every entry is an exact int or float, or every entry a list of
+    them, one array conversion reads them all.  Any other list, and one
+    whose array cannot be built, has the wrong shape or holds a part that is
+    not finite, goes through ``_coordinate`` entry by entry, which reads
+    numeric strings and mixed entries and raises for the first bad entry.
+    """
+    kinds = set(map(type, coords))
+    if kinds <= _NUMBERS or kinds == {list} and set(map(type, chain.from_iterable(coords))) <= _NUMBERS:
+        with suppress(OverflowError, ValueError):  # an integer beyond float range, or lists of other lengths
+            a = np.array(coords, dtype=np.float64)
+            a = np.stack([a, np.zeros_like(a)], axis=1) if a.ndim == 1 else a  # bare reals
+            if a.shape[1] == 2 and np.isfinite(a).all():
+                return a
+    return np.array(list(starmap(_coordinate, enumerate(coords, 1))), dtype=np.float64)
+
+
+def _read_vector(d: object) -> _Batch:
+    """The vector of a ``vector_to_dict`` form, checked, as a batch of one.
+
+    ``d`` must be a dict.  Its ``p`` is anything ``check_exponent`` takes
+    but a bool, and its ``coords`` a list whose entries are each an
+    ``[re, im]`` pair or a bare real, where a real is a number or a numeric
+    string, as for ``p``, and never a bool.  Every coordinate must be
+    finite.  The first field that breaks this raises ``ValueError`` naming
+    it: the document, then ``coords``, each coordinate in order, then ``p``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"a vector must be a JSON object with p and coords, got {type(d).__name__}")
     coords = d.get("coords")
     if type(coords) is not list:
         raise ValueError(f"coords must be a list of [re, im] pairs or reals, got {type(coords).__name__}")
-    out = []
-    for n, v in enumerate(coords, 1):
-        re, im = v if type(v) is list and len(v) == 2 else (v, 0.0)
-        try:
-            z = complex(float(re), float(im))
-        except OverflowError:
-            raise ValueError(f"coordinate {n} is an integer beyond float range") from None
-        except (TypeError, ValueError):
-            raise ValueError(f"coordinate {n} must be an [re, im] pair or a real, got {v!r}") from None
-        if not cmath.isfinite(z):
-            raise ValueError(f"coordinate {n} must be finite, got {z!r}")
-        out.append(z)
-    return FinSeqVector(d.get("p"), tuple(out))
+    parts, p = _coord_parts(coords), d.get("p")
+    if type(p) is bool:  # check_exponent, which the Python API shares, takes it as float() does
+        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p!r}")
+    return _Batch.of(check_exponent(p), [parts])
+
+
+def vector_from_dict(d: object) -> FinSeqVector:
+    """The vector of a ``vector_to_dict`` form, checked.
+
+    ``p`` is a number or numeric string with 1 <= p < inf, and ``coords`` a
+    list of ``[re, im]`` pairs or bare reals, each finite, where a real is a
+    number or numeric string, never a bool.  The first field that breaks
+    this raises ``ValueError`` naming it.  This is ``_read_vector``, which
+    the CLI reads vector files with, turned from a batch of one into a
+    vector.
+    """
+    return _read_vector(d).vectors()[0]
 
 
 def weights_to_dict(w: WeightSequence) -> dict:

@@ -1,5 +1,6 @@
 """CLI exit codes, output shapes, and determinism."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -15,7 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import cli
+from shiftlab import (
+    ConjugacyMap,
+    GStep,
+    HStep,
+    __version__,
+    cli,
+    diag_similarity,
+    map_to_dict,
+    max_coord_diff,
+    vector_from_dict,
+    vector_to_dict,
+)
 from shiftlab.cli import _dumps, _orbit_work, main
 
 
@@ -362,6 +374,11 @@ _BEYOND_FLOAT = int("9" * 400)  # a JSON integer that float() cannot take
         ({"p": 2, "coords": [[1, 0], "x"]}, "coordinate 2 must be an [re, im] pair or a real, got 'x'"),
         ({"p": None, "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got None"),
         ({"p": [2], "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got [2]"),
+        # a JSON true or false is not a number, though float() takes it as 1.0 or 0.0
+        ({"p": True, "coords": [[True, False], [1, 2]]}, "coordinate 1 must be an [re, im] pair or a real, got [True, False]"),
+        ({"p": 2, "coords": [[1, 0], [0, False]]}, "coordinate 2 must be an [re, im] pair or a real, got [0, False]"),
+        ({"p": 2, "coords": [True]}, "coordinate 1 must be an [re, im] pair or a real, got True"),
+        ({"p": True, "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got True"),
     ],
 )
 def test_apply_map_integer_beyond_float_range_is_an_error(capsys, tmp_path, doc, message):
@@ -625,3 +642,71 @@ def test_cli_gives_an_answer_or_an_error_line_for_every_input(invocation):
         assert err.getvalue().startswith("error: ")
     if out.getvalue().startswith("{"):
         json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"bare {token} in the JSON output"))
+
+
+# ---------------------------------------------------------------------------
+# apply-map against a one-vector oracle
+
+# a real as a vector file may hold it: float, int or numeric string
+_REAL = (
+    st.floats(-1e6, 1e6)
+    | st.integers(-(10**6), 10**6)
+    | st.floats(-1e6, 1e6).map(repr)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -1e-300, 1e200, 2**60 + 1])
+)
+_COORDS = st.lists(st.lists(_REAL, min_size=2, max_size=2) | _REAL, max_size=12)
+_FILE = st.fixed_dictionaries({"p": st.sampled_from([1, 1.5, 2.0, "2", 3, 4.5]), "coords": _COORDS})
+_MODULI = st.floats(0.25, 4.0)
+_PHASE = st.floats(-math.pi, math.pi)
+_MAP = st.one_of(
+    st.tuples(st.just("h"), st.floats(0.1, 4.0) | st.sampled_from([1.0, 0.0, -1.0])),
+    st.tuples(st.just("g"), st.floats(1.0, 5.0) | st.sampled_from([1.0, 0.5])),
+    # equal moduli, and now and then unequal ones, which the map refuses
+    st.tuples(st.just("diag"), st.tuples(_MODULI, _PHASE, _PHASE, st.sampled_from([1.0, 1.0, 1.0, 1.5]))),
+)
+
+
+def _oracle(doc: dict, kind: str, param, roundtrip: bool) -> tuple[int, str, str]:
+    """apply-map's exit code, stdout and stderr, built from the one-vector API."""
+    try:
+        x = vector_from_dict(doc)
+        if kind == "h":
+            phi = ConjugacyMap((HStep(x.p, param),), x.p, x.p)
+        elif kind == "g":
+            phi = ConjugacyMap((GStep(x.p, param),), x.p, param)
+        else:
+            phi = diag_similarity(*param, x.p)
+        image = phi.apply(x)
+        result = {"map": map_to_dict(phi), "image": vector_to_dict(image)}
+        if roundtrip:
+            result["roundtrip_max_deviation"] = max_coord_diff(x, phi.inverse().apply(image))
+    except (ValueError, OverflowError) as e:
+        return 1, "", f"error: {e}\n"
+    payload = {"command": "apply-map", "config": {"in": "vec.json", "roundtrip": roundtrip}, "result": result, "seed": 0, "version": __version__}
+    return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n", ""
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_FILE, _MAP, st.booleans())
+def test_apply_map_matches_the_one_vector_oracle(doc, chosen, roundtrip):
+    kind, param = chosen
+    if kind == "diag":
+        r, a, b, ratio = param
+        param = (cmath.rect(r, a), cmath.rect(r * ratio, b))
+        flag = "--diag=" + ":".join(f"{z.real!r},{z.imag!r}" for z in param)
+    else:
+        flag = f"--{kind}={'s' if kind == 'h' else 'q'}={param!r}"
+    argv = ["apply-map", flag, "--in", "vec.json"] + (["--roundtrip"] if roundtrip else [])
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "vec.json"), "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert (code, out.getvalue(), err.getvalue()) == _oracle(doc, kind, param, roundtrip)

@@ -790,6 +790,90 @@ def test_vector_from_dict_reads_numbers_and_numeric_strings_in_pairs_or_bare():
     assert vector_from_dict(d) == FinSeqVector(3.0, (1 + 2j, 0.5 - 1000j, 4, -2.5, 7))
 
 
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"p": 2, "coords": [[True, False], [1, 2]]}, "coordinate 1 must be an [re, im] pair or a real, got [True, False]"),
+        ({"p": 2, "coords": [[1, 2], [0.5, True]]}, "coordinate 2 must be an [re, im] pair or a real, got [0.5, True]"),
+        ({"p": 2, "coords": [1.5, False]}, "coordinate 2 must be an [re, im] pair or a real, got False"),
+        ({"p": True, "coords": [[1, 2]]}, "exponent must satisfy 1 <= p < inf, got True"),
+        ({"p": False, "coords": []}, "exponent must satisfy 1 <= p < inf, got False"),
+    ],
+)
+def test_vector_from_dict_rejects_booleans(d, message):
+    # a JSON true or false is not a number, though float() takes it as 1.0 or 0.0
+    with pytest.raises(ValueError) as info:
+        vector_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_check_exponent_still_takes_a_bool_as_float_does():
+    assert seqspace.check_exponent(True) == 1.0
+
+
+def _by_loop(coords):
+    """The parts of ``coords`` from the per-coordinate loop alone, or its error text."""
+    try:
+        return np.array([seqspace._coordinate(n, v) for n, v in enumerate(coords, 1)], dtype=np.float64).reshape(-1, 2)
+    except ValueError as e:
+        return str(e)
+
+
+def _by_reader(coords):
+    try:
+        return seqspace._coord_parts(coords)
+    except ValueError as e:
+        return str(e)
+
+
+_HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [],
+        [[1.5, -2.0], [0, 3], [-0.0, 0.0], [2**60 + 1, -(2**70) - 3]],
+        [1.5, -0.0, 7, 2**64 + 1],
+        [[1, 2], 3.5],  # pairs and bare reals mixed
+        [["0.5", "-1e3"], "7", [1, 2]],  # numeric strings
+        [[1e308, -1e308], [5e-324, -5e-324]],
+        [[1, 0], [None, 0]],
+        [[1, 0], [1, 2, 3]],
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 0], "x"],
+        [[1, 0], [_HUGE_INT, 0]],
+        [_HUGE_INT, 1.0],
+        [[1, 0], ["nan", 0]],
+        [[1, 0], [float("inf"), 0]],
+        [[1, 0], {"re": 1}],
+        [[1, {}]],
+        [[1, [2]]],
+        [[]],
+        [[1], [2]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, None]],
+    ],
+)
+def test_reader_array_path_agrees_with_the_per_coordinate_loop(coords):
+    slow, fast = _by_loop(coords), _by_reader(coords)
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert fast.dtype == np.float64 and fast.shape == (len(coords), 2)
+        assert fast.tobytes() == slow.tobytes()  # every bit, signs of zero included
+
+
+@pytest.mark.parametrize("coords", [[], [[1.5, -2.0], [0, 3], [-0.0, 0.0]], [1.5, -0.0, 7], [[2**60 + 1, 5e-324]]])
+def test_reader_reads_numbers_as_one_array(monkeypatch, coords):
+    def loop(n, v):
+        raise AssertionError("the per-coordinate loop ran")
+
+    monkeypatch.setattr(seqspace, "_coordinate", loop)
+    parts = seqspace._coord_parts(coords)
+    monkeypatch.undo()
+    assert parts.tobytes() == _by_loop(coords).tobytes()
+
+
 def test_vector_dict_shape():
     d = vector_to_dict(FinSeqVector(2.0, (1 + 2j,)))
     assert d == {"p": 2.0, "coords": [[1.0, 2.0]]}
