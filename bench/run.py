@@ -49,12 +49,13 @@ import os
 import platform
 import random
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from functools import partial
+
+from memory import spawn  # bench/ is on sys.path when this script runs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -66,8 +67,6 @@ REPEATS = 3
 MIN_CALLS = 5
 MIN_SECONDS = 0.5  # keep calling a fast kernel until this much time has passed
 MAX_CALLS = 200
-
-CLI = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # name -> argv; "{vec}" is replaced by a file holding a 4096-coordinate vector
 SCENARIOS = {
@@ -198,15 +197,10 @@ def _slope(sizes, values) -> float:
 
 def _run_cli(argv: list[str]) -> tuple[float, float]:
     """Wall time in ms and ru_maxrss in MB of one CLI run in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    elapsed = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise SystemExit(f"shiftlab {' '.join(argv)} exited {proc.returncode}")
-    return elapsed * 1e3, usage.ru_maxrss / 1024
+    code, wall, mb, err = spawn(argv)
+    if code != 0:
+        raise SystemExit(f"shiftlab {' '.join(argv)} exited {code}: {err.strip()}")
+    return wall * 1e3, mb
 
 
 def _machine() -> dict:

@@ -42,10 +42,11 @@ it.
 
 Exit codes: 0 pass, 1 usage or config error or a result beyond float
 range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
-mismatch.  Outputs are JSON
-(stable key order; ``orbit`` can emit CSV instead) and always record the
-seed and library version.  ``--config FILE`` loads flag values, including
-optionally the command name, from a JSON object; explicit flags override.
+mismatch.  Output is JSON with a stable key order that records the
+command, its config, the seed and the library version; ``orbit --format
+csv`` writes the trace rows alone, without seed or version.  ``--config
+FILE`` loads flag values, including optionally the command name, from a
+JSON object; explicit flags override.
 """
 
 from __future__ import annotations
@@ -217,7 +218,16 @@ def _parse_point(desc: str, p: float, seed: int, n: int) -> FinSeqVector:
 
 
 # ---------------------------------------------------------------------------
-# output
+# files in and text out
+
+
+def _load(path: str) -> object:
+    """The JSON value in the file at ``path``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -266,29 +276,11 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(_dumps(value, inner) for value in obj) + indent + "]"
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(_dumps(payload) + "\n", out)
-
-
-def _emit_csv(rows: list[tuple[str, str]], out: str | None) -> None:
-    _emit("\n".join(",".join(row) for row in rows) + "\n", out)
-
-
-def _payload(command: str, config: dict, result: dict, seed: int) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "result": result,
-        "seed": seed,
-        "version": __version__,
-    }
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (config, result, exit code) and writes nothing
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     _at_most("--horizon", args.horizon, MAX_HORIZON)
     op = _parse_operator(args.weights, args.p)
     verdict = classify(op.weights, op.p, args.horizon)
@@ -297,11 +289,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "p": op.p,
         "horizon": args.horizon,
     }
-    _emit_json(_payload("classify", config, verdict.to_dict(), args.seed), args.out)
-    return 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
+    return config, verdict.to_dict(), 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
 
 
-def _cmd_conjugate_check(args: argparse.Namespace) -> int:
+def _cmd_conjugate_check(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     _at_most("--samples", args.samples, MAX_SAMPLES)
@@ -322,8 +313,7 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
             "chi_g": e.chi_target,
             "reason": str(e),
         }
-        _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
-        return 3
+        return config, result, 3
     source = ShiftOperator(Constant(lam), p)
     target = ShiftOperator(Constant(omega), q)
     report = conjugacy_residual(source, target, phi, samples=args.samples, seed=args.seed)
@@ -336,11 +326,11 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> int:
         "residual": report.to_dict(),
         "passed": passed,
     }
-    _emit_json(_payload("conjugate-check", config, result, args.seed), args.out)
-    return 0 if passed else 2
+    return config, result, 0 if passed else 2
 
 
-def _cmd_orbit(args: argparse.Namespace) -> int:
+def _cmd_orbit(args: argparse.Namespace) -> tuple[dict | None, dict | list, int]:
+    """With ``--format csv`` the config is None and the result is the CSV rows."""
     if _at_most("--n", args.n, MAX_LENGTH) < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     op = _parse_operator(args.op, args.p)
@@ -354,11 +344,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         x = _parse_point(args.point, op.p, args.seed, args.n)
         trace = orbit_norms(op, x, args.n, point=args.point)
     if args.format == "csv":
-        _emit_csv(trace.csv_rows(), args.out)
-    else:
-        config = {"op": trace.operator, "point": args.point, "n": args.n}
-        _emit_json(_payload("orbit", config, trace.to_dict(), args.seed), args.out)
-    return 0
+        return None, trace.csv_rows(), 0
+    return {"op": trace.operator, "point": args.point, "n": args.n}, trace.to_dict(), 0
 
 
 def _parse_param(token: str, name: str) -> float:
@@ -371,8 +358,8 @@ def _parse_param(token: str, name: str) -> float:
         raise ValueError(f"cannot parse {token!r}") from None
 
 
-def _cmd_apply_map(args: argparse.Namespace) -> int:
-    """Apply one map to a vector file, as one ``seqspace._Batch`` from file to stdout.
+def _cmd_apply_map(args: argparse.Namespace) -> tuple[dict, dict, int]:
+    """Apply one map to a vector file, as one ``seqspace._Batch`` from file to output.
 
     The file is read straight into split float64 parts (``_read_vector``),
     mapped and, with ``--roundtrip``, inverted by the maps' batch kernels
@@ -382,8 +369,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> int:
     of ``abs`` of the complex difference.  The bytes are those of the
     one-vector functions.
     """
-    with open(args.infile, encoding="utf-8") as f:
-        x = _read_vector(json.load(f))
+    x = _read_vector(_load(args.infile))
     if args.h is not None:
         phi = ConjugacyMap((HStep(x.p, _parse_param(args.h, "s")),), x.p, x.p)
     elif args.g is not None:
@@ -399,9 +385,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> int:
     if args.roundtrip:
         back = phi.inverse().on_batch(image)
         result["roundtrip_max_deviation"] = max(_subtract(x, back).moduli().tolist(), default=0.0)
-    config = {"in": args.infile, "roundtrip": args.roundtrip}
-    _emit_json(_payload("apply-map", config, result, args.seed), args.out)
-    return 0
+    return {"in": args.infile, "roundtrip": args.roundtrip}, result, 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +449,7 @@ def _expand_config(argv: list[str]) -> list[str]:
         raise ValueError("--config needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+    cfg = _load(path)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     command = cfg.pop("command", None)
@@ -492,10 +475,16 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         try:
             args = parser.parse_args(expanded)
-        except SystemExit as e:  # --help / --version
-            code = e.code
-            return code if isinstance(code, int) else 0
-        return args.func(args)
+        except SystemExit:  # --help / --version; every other parse error raises ValueError
+            return 0
+        config, result, code = args.func(args)
+        if config is None:  # orbit --format csv
+            text = "\n".join(",".join(row) for row in result)
+        else:
+            payload = {"command": args.command, "config": config, "result": result, "seed": args.seed, "version": __version__}
+            text = _dumps(payload)
+        _emit(text + "\n", args.out)
+        return code
     except (ValueError, OverflowError, OSError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

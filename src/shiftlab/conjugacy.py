@@ -165,9 +165,8 @@ def _h(x: _Batch, s: float) -> _Batch:
     cancel.  Every t**s comes from one ``np.float_power`` call; ``log1p`` and
     ``expm1`` stay scalar ``math`` calls on only the lanes of the second
     form, because numpy's versions round differently in 8-9 % of lanes.
+    ``HStep`` checks s.
     """
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"exponent s must be finite and > 0, got {s!r}")
     m, d = _powers(x)
     a = _tails(d, x.bounds)
     last = x.bounds[1:][np.diff(x.bounds) > 0] - 1  # the last lane of every vector, where b = 0
@@ -225,9 +224,9 @@ def h_map(x: FinSeqVector, s: float) -> FinSeqVector:
     image has the same support pattern as x (as long as |x_n|**p does not
     underflow), and ``h_map(h_map(x, s), 1/s)`` recovers x up to rounding.
     An image coordinate beyond float range raises ``RangeError`` naming it.
-    This is the batch kernel ``_h`` on a batch of one vector.
+    This is ``HStep(x.p, s)`` on a batch of one vector.
     """
-    return _h(_one(x), s).vectors()[0]
+    return HStep(x.p, s).apply(x)
 
 
 def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
@@ -237,10 +236,10 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
     the q-th power sum of the image equals the p-th power sum of x
     coordinate by coordinate.  Inverted by ``g_map(., p)`` from l^q.  A
     coordinate whose modulus or image is beyond float range raises
-    ``RangeError`` naming it.  This is the batch kernel ``_g`` on a batch
-    of one vector: moduli by ``np.hypot``, powers by ``np.float_power``.
+    ``RangeError`` naming it.  This is ``GStep(x.p, q)`` on a batch of one
+    vector: moduli by ``np.hypot``, powers by ``np.float_power``.
     """
-    return _g(_one(x), q).vectors()[0]
+    return GStep(x.p, q).apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ class HStep(_EndoStep):
             raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return h_map(_in_space(self.p, x, "step"), self.s)
+        return self.on_batch(_one(_in_space(self.p, x, "step"))).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _h(x, self.s)
@@ -301,7 +300,7 @@ class GStep:
         return self.q
 
     def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return g_map(_in_space(self.p, x, "step"), self.q)
+        return self.on_batch(_one(_in_space(self.p, x, "step"))).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _g(x, self.q)

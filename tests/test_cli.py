@@ -424,6 +424,18 @@ def test_config_without_command_anywhere_fails(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [("apply-map", "--h", "s=2", "--in"), ("--config",)])
+def test_deeply_nested_json_file_is_an_error_line(capsys, tmp_path, flags):
+    # the decoder recurses once per level, so this depth passes any recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *flags, str(deep))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {deep}: JSON nested too deeply to read\n"
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(capsys):
     argv = ("conjugate-check", "--f", "2:1", "--g", "4:3", "--seed", "5")
     code1, out1, _ = run(capsys, *argv)

@@ -95,17 +95,32 @@ def _close(a: object, b: object) -> bool:
     return a == b
 
 
+def _assert_same_output(got: str, expected: str) -> None:
+    """Byte for byte on the corpus's versions; elsewhere floats within FLOAT_ULPS."""
+    if _CORPUS["versions"] == _versions():
+        assert got == expected
+    else:
+        assert _close(_parse(got), _parse(expected))
+
+
 _CORPUS = _load()
+# every case that writes a result: exit 0, 2 or 3, except --version, which argparse prints
+_WRITERS = [c for c in _CORPUS["cases"] if c["exit"] in (0, 2, 3) and c["argv"] != ["--version"]]
 
 
 @pytest.mark.parametrize("case", _CORPUS["cases"], ids=[c["name"] for c in _CORPUS["cases"]])
 def test_cli_matches_golden_case(case):
     got = _run(case["argv"])
     assert (got["exit"], got["stderr"]) == (case["exit"], case["stderr"])
-    if _CORPUS["versions"] == _versions():
-        assert got["stdout"] == case["stdout"]
-    else:
-        assert _close(_parse(got["stdout"]), _parse(case["stdout"]))
+    _assert_same_output(got["stdout"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", _WRITERS, ids=[c["name"] for c in _WRITERS])
+def test_out_file_holds_the_golden_stdout(case, tmp_path):
+    target = tmp_path / "out"
+    got = _run(case["argv"] + ["--out", str(target)])
+    assert got == {"exit": case["exit"], "stderr": case["stderr"], "stdout": ""}
+    _assert_same_output(target.read_bytes().decode("utf-8"), case["stdout"])
 
 
 def test_close_allows_a_few_ulps_only():
