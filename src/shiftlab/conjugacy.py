@@ -61,7 +61,6 @@ from .seqspace import (
     _checked_weight,
     _cmul,
     _in_space,
-    _modulus,
     _norms,
     _one,
     _pair,
@@ -148,14 +147,6 @@ def _lane_error(x: _Batch, bad: np.ndarray, message) -> RangeError:
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _expm1(values: list[float]) -> list[float]:
-    """``math.expm1`` of each value, inf where it overflows."""
-    try:
-        return list(map(math.expm1, values))
-    except OverflowError:
-        return [math.expm1(v) if v <= _LOG_MAX else math.inf for v in values]
-
-
 def _h(x: _Batch, s: float) -> _Batch:
     """``h_map`` of every vector of ``x``.
 
@@ -181,7 +172,7 @@ def _h(x: _Batch, s: float) -> _Batch:
         diff[a_s == math.inf] = math.inf  # a**s raises before b**s is taken
         lanes = np.flatnonzero(near)
         v = s * np.array(list(map(math.log1p, r[lanes].tolist())))
-        e = np.array(_expm1(v.tolist()))
+        e = np.array(list(map(math.expm1, np.where(v > _LOG_MAX, math.inf, v).tolist())))
         near_bs = b_s[lanes]
         diff[lanes] = np.where((near_bs == math.inf) | (e == math.inf), math.inf, near_bs * e)
     bad = (diff == math.inf) & (m != 0.0)
@@ -246,8 +237,8 @@ def g_map(x: FinSeqVector, q: float) -> FinSeqVector:
 # composable steps
 
 
-class _EndoStep:
-    """A step from l^p onto itself: both exponents are the step's ``p``."""
+class _Step:
+    """A step from l^p, by default onto itself: both exponents are the step's ``p``."""
 
     __slots__ = ()
 
@@ -259,9 +250,13 @@ class _EndoStep:
     def codomain_p(self) -> float:
         return self.p
 
+    def apply(self, x: FinSeqVector) -> FinSeqVector:
+        """``on_batch`` of ``x`` as a batch of one."""
+        return self.on_batch(_one(_in_space(self.p, x, "step"))).vectors()[0]
+
 
 @dataclass(frozen=True, slots=True)
-class HStep(_EndoStep):
+class HStep(_Step):
     """Tail rescaling with exponent s on l^p."""
 
     p: float
@@ -270,9 +265,6 @@ class HStep(_EndoStep):
     def __post_init__(self) -> None:
         if not math.isfinite(self.s) or self.s <= 0.0:
             raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
-
-    def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return self.on_batch(_one(_in_space(self.p, x, "step"))).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _h(x, self.s)
@@ -285,22 +277,15 @@ class HStep(_EndoStep):
 
 
 @dataclass(frozen=True, slots=True)
-class GStep:
+class GStep(_Step):
     """Modulus power map from l^p onto l^q."""
 
     p: float
     q: float
 
     @property
-    def domain_p(self) -> float:
-        return self.p
-
-    @property
     def codomain_p(self) -> float:
         return self.q
-
-    def apply(self, x: FinSeqVector) -> FinSeqVector:
-        return self.on_batch(_one(_in_space(self.p, x, "step"))).vectors()[0]
 
     def on_batch(self, x: _Batch) -> _Batch:
         return _g(x, self.q)
@@ -313,7 +298,7 @@ class GStep:
 
 
 @dataclass(frozen=True, slots=True)
-class DiagStep(_EndoStep):
+class DiagStep(_Step):
     """Diagonal rescaling on l^p: coordinate n is multiplied by ratio**(n-1).
 
     With a unimodular ratio this is an isometric linear homeomorphism; for
@@ -390,20 +375,6 @@ class ConjugacyMap:
 # constructors
 
 
-def _shift_modulus(w: complex) -> float:
-    """|w| of a constant shift weight.
-
-    ``ValueError`` unless w is finite and nonzero (the rule every weight
-    follows), ``RangeError`` when its finite parts have a modulus beyond
-    float range.
-    """
-    w = _checked_weight(w)
-    m = _modulus(w)
-    if m == math.inf:
-        raise RangeError(f"|{w}| is beyond float range")
-    return m
-
-
 def diag_similarity(lam: complex, omega: complex, p: float = 2.0) -> ConjugacyMap:
     """The diagonal linear conjugacy from lam*B onto omega*B when |lam| == |omega|.
 
@@ -412,7 +383,7 @@ def diag_similarity(lam: complex, omega: complex, p: float = 2.0) -> ConjugacyMa
     ``build_conjugator`` instead.
     """
     lam, omega = complex(lam), complex(omega)
-    ml, mo = _shift_modulus(lam), _shift_modulus(omega)
+    ml, mo = abs(_checked_weight(lam)), abs(_checked_weight(omega))
     if abs(ml - mo) > 1e-12 * max(ml, mo):
         raise ValueError(
             f"diagonal similarity needs |lam| == |omega|; got {ml!r} vs {mo!r}"
@@ -429,7 +400,7 @@ def conjugacy_class_decision(lam: complex, p: float, omega: complex, q: float) -
     """
     check_exponent(p)
     check_exponent(q)
-    return chi(_shift_modulus(lam)) == chi(_shift_modulus(omega))
+    return chi(abs(_checked_weight(lam))) == chi(abs(_checked_weight(omega)))
 
 
 def build_conjugator(lam: complex, p: float, omega: complex, q: float) -> ConjugacyMap:

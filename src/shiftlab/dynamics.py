@@ -413,8 +413,6 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     check_exponent(p)
     if horizon < MIN_HORIZON:
         raise ValueError(f"horizon must be >= {MIN_HORIZON}, got {horizon}")
-    if not math.isfinite(w.bound()):
-        raise ValueError("weight sequence is unbounded")
 
     analytic = w.analytic_label(p)
     if analytic is not None:

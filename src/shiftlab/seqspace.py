@@ -15,7 +15,7 @@ Weight sequences come in four generator families:
 * ``BalancedBlocks(a, b)``        k copies of a, then k copies of b, k = 1, 2, ...
 * ``PowerLawBeta(alpha)``         positive weights whose running product is n**alpha
 
-Each family is one class with the same six methods, over the half-open
+Each family is one class with the same five methods, over the half-open
 index range lo < n <= hi (0 <= lo <= hi):
 
 * ``weight_range(lo, hi)``     the weights w_n, as a complex128 array
@@ -25,7 +25,6 @@ index range lo < n <= hi (0 <= lo <= hi):
                                ``log_abs_profile(lo, hi)`` <= high, for
                                lo < hi; they may be loose, and cost O(1)
                                but for ``Explicit``, which reads its slice
-* ``bound()``                  an upper bound for sup_n |w_n| (inf if too big)
 * ``analytic_label(p)``        the closed-form dynamical label on l^p, as the
                                value of a ``dynamics.DynamicsLabel``, or None
                                when only numeric evidence can decide
@@ -123,19 +122,6 @@ class FinSeqVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_exponent(self.p))
         object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
-
-
-def _modulus(w: complex) -> float:
-    """|w|: inf when finite parts have a modulus beyond float range, nan for a nan part.
-
-    ``abs`` raises ``OverflowError`` in the first case, and can raise a stale
-    one left by an earlier overflow in the second; ``math.hypot`` of the
-    parts gives the modulus, inf or nan, plainly.
-    """
-    try:
-        return abs(w)
-    except OverflowError:
-        return math.hypot(w.real, w.imag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,12 +347,19 @@ def max_coord_diff(x: FinSeqVector, y: FinSeqVector) -> float:
 
 
 def _checked_weight(value: object) -> complex:
-    """``value`` as a weight, or ``ValueError`` unless finite and nonzero."""
+    """``value`` as a weight: the one rule every weight follows.
+
+    ``ValueError`` unless it is finite and nonzero, and ``RangeError`` when
+    its finite parts have a modulus beyond float range, so ``abs`` of a
+    checked weight is a finite float and never raises.
+    """
     w = complex(value)
     if w == 0:
         raise ValueError("weights must be nonzero")
     if not cmath.isfinite(w):
         raise ValueError(f"weights must be finite, got {w!r}")
+    if math.hypot(w.real, w.imag) == math.inf:
+        raise RangeError(f"|{w}| is beyond float range")
     return w
 
 
@@ -388,9 +381,6 @@ class Constant:
     def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
         # fl(n * v) is monotone in n, so the ends give the extrema, exactly
         return tuple(sorted(n * math.log(abs(self.value)) for n in (lo + 1, hi)))
-
-    def bound(self) -> float:
-        return _modulus(self.value)
 
     def analytic_label(self, p: float) -> str:
         # beta(n) = value^n: the chaos sum is geometric, so |value| > 1
@@ -417,8 +407,9 @@ class Explicit:
             arr = np.fromiter(ws := tuple(map(complex, ws)), dtype=np.complex128, count=len(ws))
         except (TypeError, ValueError, OverflowError):
             arr = None
-        if arr is None or not (arr.all() and np.isfinite(arr).all()):
-            ws = tuple(map(_checked_weight, ws))
+        with np.errstate(over="ignore"):  # finite parts whose modulus is beyond float range: inf
+            if arr is None or not (arr.all() and np.isfinite(np.hypot(arr.real, arr.imag)).all()):
+                ws = tuple(map(_checked_weight, ws))
         if not ws:
             raise ValueError("explicit weight list must be nonempty")
         object.__setattr__(self, "weights", ws)
@@ -445,10 +436,6 @@ class Explicit:
     def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
         part = self._range(self._log_abs, lo, hi)
         return float(part.min()), float(part.max())
-
-    def bound(self) -> float:
-        with np.errstate(over="ignore"):  # np.hypot of the parts is abs, bit for bit; inf past float range
-            return float(np.hypot(self._array.real, self._array.imag).max())
 
     def analytic_label(self, p: float) -> None:
         return None  # a finite list only ever gives finite-horizon evidence
@@ -564,9 +551,6 @@ class BalancedBlocks:
         e = float(k[1] + (d[1] > 0.0)) * la
         return min(s_lo, s_hi) + min(0.0, e), max(s_lo, s_hi) + max(0.0, e)
 
-    def bound(self) -> float:
-        return max(_modulus(self.a), _modulus(self.b))
-
     def analytic_label(self, p: float) -> str:
         la, lm = self._logs()
         # Pair k multiplies |beta| by |first * second|^k overall, with an
@@ -615,14 +599,6 @@ class PowerLawBeta:
         # logs of the ends widened by 2**-49 (8 ulps or more) bound every
         # entry's log, and fl(alpha * x) is monotone in x
         return tuple(sorted(self.alpha * (math.log(n) * f) for n, f in ((lo + 1, 1 - 2**-49), (hi, 1 + 2**-49))))
-
-    def bound(self) -> float:
-        # w_n = (n/(n-1))**alpha is largest at n = 2 for alpha > 0 and
-        # approaches 1 from below otherwise; w_1 = 1.
-        try:
-            return max(1.0, 2.0**self.alpha)
-        except OverflowError:
-            return math.inf
 
     def analytic_label(self, p: float) -> str:
         if self.alpha * p > 1.0:

@@ -250,6 +250,13 @@ def test_orbit_powerlaw_weight_overflow_is_a_range_error(capsys):
     assert doc["result"]["norms"] == [1.0, 0.0, 0.0, 0.0]
 
 
+def test_orbit_weight_modulus_beyond_float_range_is_refused_at_parse_time(capsys):
+    code, out, err = run(capsys, "orbit", "--op", "constant:1.5e308,1.5e308", "--point", "escape", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: |(1.5e+308+1.5e+308j)| is beyond float range\n"
+
+
 def test_orbit_escape_past_float_range_is_a_range_error(capsys):
     code, out, err = run(capsys, "orbit", "--op", "constant:10", "--point", "escape", "--n", "400")
     assert code == 1

@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
+    BalancedBlocks,
     ClassMismatchError,
     ConjugacyMap,
     Constant,
     DiagStep,
+    Explicit,
     FinSeqVector,
     GStep,
     HStep,
@@ -465,12 +467,20 @@ def test_conjugacy_class_decision_validates():
 
 @pytest.mark.parametrize(
     "use",
-    [lambda w: conjugacy_class_decision(w, 2.0, 2, 2.0), lambda w: diag_similarity(1, w)],
-    ids=["class_decision", "diag_similarity"],
+    [
+        lambda w: conjugacy_class_decision(w, 2.0, 2, 2.0),
+        lambda w: diag_similarity(1, w),
+        Constant,
+        lambda w: Explicit((1, w)),
+        lambda w: BalancedBlocks(w, 1),
+        lambda w: BalancedBlocks(1, w),
+    ],
+    ids=["class_decision", "diag_similarity", "constant", "explicit", "blocks_a", "blocks_b"],
 )
 def test_shift_weights_are_checked_in_one_place(use):
-    with pytest.raises(RangeError, match="beyond float range"):
+    with pytest.raises(RangeError) as got:
         use(complex(1.5e308, 1.5e308))  # finite parts, modulus beyond float range
+    assert str(got.value) == "|(1.5e+308+1.5e+308j)| is beyond float range"
     for bad in (0, math.inf, complex(1, math.nan)):
         with pytest.raises(ValueError, match="weights must be (nonzero|finite)"):
             use(bad)

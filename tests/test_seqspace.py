@@ -327,17 +327,6 @@ def test_blocks_first_second_roles():
     assert w.second == 2.0
 
 
-def test_weight_bound():
-    assert Constant(-4).bound() == 4.0
-    assert Explicit((1, 3j, -2)).bound() == 3.0
-    assert BalancedBlocks(0.5, 2).bound() == 2.0
-    assert PowerLawBeta(0.5).bound() == pytest.approx(math.sqrt(2))
-    assert PowerLawBeta(-3.0).bound() == 1.0
-    huge = complex(1.5e308, 1.5e308)  # finite parts, modulus beyond float range
-    for w in (Constant(huge), Explicit((1, huge)), BalancedBlocks(huge, 1), BalancedBlocks(1, huge)):
-        assert w.bound() == math.inf
-
-
 @pytest.mark.parametrize(
     "weights,error,message",
     [
@@ -349,6 +338,7 @@ def test_weight_bound():
         ((1, None, 0), TypeError, "complex() first argument must be a string or a number, not 'NoneType'"),
         ((1, 0, 10**400), ValueError, "weights must be nonzero"),
         ((1, 10**400, 0), OverflowError, "int too large to convert to float"),
+        ((1, 1.5e308 + 1.5e308j, 0), RangeError, "|(1.5e+308+1.5e+308j)| is beyond float range"),
     ],
 )
 def test_explicit_raises_for_the_first_failing_weight_in_list_order(weights, error, message):
@@ -365,25 +355,22 @@ def test_explicit_raises_for_the_first_failing_weight_in_list_order(weights, err
     assert str(got.value) == message
 
 
-def test_explicit_bound_and_to_dict_match_the_per_weight_forms_bit_for_bit():
+def test_explicit_to_dict_matches_the_per_weight_forms_bit_for_bit():
     rng = np.random.default_rng(7)
     parts = rng.uniform(-10.0, 10.0, (2000, 2))
     signed_zeros = (complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -3.5), complex(-1.5, 0.0), 5e-324j)
     for ws in (
         (*signed_zeros, *(complex(a, b) for a, b in parts.tolist())),
-        (1, 1.5e308 + 1.5e308j, -0.0 + 2j),  # finite parts, modulus beyond float range
         (3 + 4j,),
     ):
         w = Explicit(ws)
-        assert w.bound().hex() == max(seqspace._modulus(complex(v)) for v in ws).hex()
         pairs = w.to_dict()["weights"]
         assert [[x.hex() for x in pair] for pair in pairs] == [[complex(v).real.hex(), complex(v).imag.hex()] for v in ws]
         assert all(type(x) is float for pair in pairs for x in pair)
-    assert Explicit((1, 1.5e308 + 1.5e308j)).bound() == math.inf
 
 
 # ---------------------------------------------------------------------------
-# the six-method protocol of the weight families
+# the five-method protocol of the weight families
 
 
 def _pair_index_reference(n):
