@@ -238,7 +238,7 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False, allow_nan=False).encode
 
 
 def _dumps(obj: object, indent: str = "\n") -> str:
@@ -251,7 +251,9 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     ``str.replace``: a number's text holds no comma or bracket.  That
     encoder skips the circular-reference check, since every payload is a
     tree that a command builds afresh; ``apply-map``'s image coordinates
-    reach it as the one list ``tolist`` makes of the image's parts.
+    reach it as the one list ``tolist`` makes of the image's parts.  It
+    refuses a nan or inf, which JSON has no token for, so stdout is strict
+    JSON: a report that holds one gives it as a string (``_json_float``).
     ``indent`` is the newline and indentation that precede this value's
     closing bracket.
     """

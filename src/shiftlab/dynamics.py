@@ -182,35 +182,26 @@ def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
 # The streamed pairwise sums take ranges of at most _LEAF terms as leaves,
 # each summed by one np.sum call; the terms are computed in chunks of that
 # many, so the rolling buffer of terms in flight holds twice that size.
-# In a tree walk, _ADD is the marker that says: add the two sums on top of
-# the stack.
-_ADD = None
+def _tree(lo: int, hi: int, whole: int):
+    """The tree along which ``np.sum`` adds the float64 terms lo..hi-1, as a generator.
 
-
-def _pairwise_walk(lo: int, hi: int, whole: int):
-    """The order in which ``np.sum`` adds the float64 terms lo..hi-1.
-
-    Yields the tree of numpy's ``pairwise_sum`` for one contiguous array in
-    post-order, from an explicit stack: leaf ranges (lo, hi) in rising
-    order, and ``_ADD`` where the sums of a node's two halves are added,
-    left + right.  A range of more than 128 terms splits after n//2 terms
-    rounded down to a multiple of 8.  A leaf is a node of that tree, which
-    ``np.sum`` of the leaf alone walks the same way, so summing each leaf
-    with ``np.sum`` and adding at each marker gives the bits of ``np.sum``
-    over the whole range.  A node that starts at or after ``whole`` is
-    yielded as it is, however large.  The stack holds
-    O(log((hi - lo) / _LEAF)) items.
+    It mirrors numpy's ``pairwise_sum`` for one contiguous array: a range
+    of more than 128 terms splits after n//2 terms rounded down to a
+    multiple of 8, and its sum is left + right.  Here a range of at most
+    _LEAF terms, or one that starts at or after ``whole``, is a leaf: the
+    generator yields (lo, hi) and takes that range's sum by ``send``.  A
+    leaf is a node of numpy's tree, which ``np.sum`` of the leaf alone
+    walks the same way, so sending each leaf's ``np.sum`` gives the bits
+    of ``np.sum`` over the whole range, the total that the generator
+    returns.  Leaves come in rising order, and the recursion is
+    O(log((hi - lo) / _LEAF)) deep.
     """
-    stack = [(lo, hi)]
-    while stack:
-        node = stack.pop()
-        if node is not _ADD and node[1] - node[0] > _LEAF and node[0] < whole:
-            lo, hi = node
-            n = hi - lo
-            half = n // 2 - n // 2 % 8
-            stack += (_ADD, (lo + half, hi), (lo, lo + half))
-        else:
-            yield node
+    n = hi - lo
+    if n <= _LEAF or lo >= whole:
+        return (yield lo, hi)
+    half = n // 2 - n // 2 % 8
+    left = yield from _tree(lo, lo + half, whole)
+    return left + (yield from _tree(lo + half, hi, whole))
 
 
 # exp(x) is exactly 0.0 below _EXP_LOW and inf above _EXP_HIGH for any
@@ -285,23 +276,24 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
     """``np.sum(exp(-p * profile)[s:])`` for each s in ``starts``, streamed.
 
     ``_saturated_suffix`` first finds an n0 from which every term is 0.0,
-    or every one inf.  The walks yield a node from n0 on whole, and its sum
-    is that value, which is also what ``np.sum`` gives over its terms, so
-    no term there is computed.  The walks of the sums ask for their other
-    leaves in one rising sweep.  A rolling buffer of 2 * _LEAF terms holds
-    those from the lowest leaf in flight on.  When a leaf runs past its
-    end, up to the next _LEAF terms before n0 are computed into it from one
-    ``log_abs_profile`` chunk, so each term is computed once and the sweep
-    makes about n0 / _LEAF profile calls.  Each chunk's exp goes through
-    ``_exp_in_place``, which writes the bits of ``np.exp`` but keeps
-    saturated lanes out of it.  The sums of the leaves a walk has finished
-    wait on a stack of their own until its ``_ADD`` markers add them,
-    left + right.
+    or every one inf.  Each start's ``_tree`` yields a node from n0 on as
+    one leaf, and its sum is that value, which is also what ``np.sum``
+    gives over its terms, so no term there is computed.  The trees ask for
+    their other leaves in one rising sweep: the pending leaf with the
+    lowest start is served first.  A rolling buffer of 2 * _LEAF terms
+    holds those from the lowest leaf in flight on.  When a leaf runs past
+    its end, up to the next _LEAF terms before n0 are computed into it from
+    one ``log_abs_profile`` chunk, so each term is computed once and the
+    sweep makes about n0 / _LEAF profile calls.  Each chunk's exp goes
+    through ``_exp_in_place``, which writes the bits of ``np.exp`` but
+    keeps saturated lanes out of it.  Each leaf's sum is sent to its tree,
+    which adds it in numpy's order and returns the start's total when its
+    last leaf is in.
     """
     n0, known = _saturated_suffix(w, p, horizon)
-    walks = [_pairwise_walk(s, horizon, n0) for s in starts]
-    stacks: list[list[float]] = [[] for _ in starts]
-    asks = [next(walk) for walk in walks]  # a walk starts with a leaf or a node from n0 on
+    trees = [_tree(s, horizon, n0) for s in starts]
+    asks = [next(tree) for tree in trees]  # a tree starts with a leaf or a node from n0 on
+    totals = [0.0] * len(starts)
     buf = np.empty(min(2 * _LEAF, horizon))
     buf_lo, size = 0, 0  # buf[:size] holds the terms buf_lo .. buf_lo + size - 1
     with np.errstate(over="ignore", under="ignore"):
@@ -317,17 +309,11 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
                 terms = buf[keep:size]
                 np.multiply(profile, -p, out=terms)
                 _exp_in_place(terms)
-            sums = stacks[i]
-            sums.append(known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
-            for node in walks[i]:
-                if node is not _ADD:
-                    asks[i] = node
-                    break
-                right = sums.pop()
-                sums[-1] += right
-            else:
-                asks[i] = None
-    return [sums[0] for sums in stacks]
+            try:
+                asks[i] = trees[i].send(known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
+            except StopIteration as done:
+                asks[i], totals[i] = None, done.value
+    return totals
 
 
 def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEvidence:
@@ -335,8 +321,8 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
 
     The profile is never built whole.  The two sums of exp(-p * profile)
     share one sweep over it in chunks of _LEAF terms, under one
-    ``np.errstate``, and each adds its leaves along a flat post-order walk
-    of the tree ``np.sum`` follows.  The head and tail windows are
+    ``np.errstate``, and each adds its leaves along ``_tree``, the
+    recursion ``np.sum`` follows.  The head and tail windows are
     isqrt(horizon) long and built one at a time, so memory is
     O(_LEAF + isqrt(horizon)) where the full profile took O(horizon).  The
     bits are those of the full-array computation: each chunk of
@@ -514,40 +500,29 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
     parts, and the moduli come from ``np.hypot``, which is what ``abs`` of a
     Python complex calls: numpy's complex128 product and modulus do not
     round the same way.  The powers come from ``np.float_power``, which
-    calls libm's ``pow`` per lane as Python's ``**`` does; ``np.power`` does
-    not round the same way either (see ``_finite_norm``).  Once the support
-    runs out the norms are 0.
+    calls libm's ``pow`` per lane as Python's ``**`` does (``np.power`` is
+    vectorized and does not round the same way; ``tests/test_dynamics.py``
+    pins that), and ``_power_norm`` sums them, or takes the scaled form
+    when their sum leaves float range.  A power beyond float range is inf
+    here, where ``**`` raises; a norm beyond it raises ``RangeError``
+    naming its step.  Once the support runs out the norms are 0.
     """
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
+    if n >= 1:
+        _in_space(t.p, x, "operator")
+        w = t.weights.weight_range(0, max(len(re) - 1, 0))
+    norms = []
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_finite_norm(np.hypot(re, im), x.p, 0)]
-        if n >= 1:
-            _in_space(t.p, x, "operator")
-            w = t.weights.weight_range(0, max(len(re) - 1, 0))
-            live = min(n, len(re))
-            for k in range(1, live + 1):
-                m = len(re) - 1
-                re, im = _cmul(w.real[:m], w.imag[:m], re[1:], im[1:])
-                norms.append(_finite_norm(np.hypot(re, im), x.p, k))
-            norms.extend([0.0] * (n - live))
-    return norms
-
-
-def _finite_norm(moduli: np.ndarray, p: float, step: int) -> float:
-    """The l^p norm of the moduli; ``RangeError`` naming ``step`` if it is not finite.
-
-    The powers come from ``np.float_power``, which calls libm's ``pow``
-    lane by lane as Python's ``**`` does (``np.power`` is vectorized and
-    does not round the same way; ``tests/test_dynamics.py`` pins that), and
-    ``_power_norm`` sums them, or takes the scaled form when their sum
-    leaves float range.  Call it under ``np.errstate(over="ignore")``:
-    a power beyond float range is inf here, where ``**`` raises.
-    """
-    norm = _power_norm(np.float_power(moduli, p).tolist(), moduli, p)
-    if not math.isfinite(norm):
-        raise _orbit_range_error(step, norm)
-    return norm
+        for k in range(min(n, len(re)) + 1):
+            if k > 0:
+                j = len(re) - 1
+                re, im = _cmul(w.real[:j], w.imag[:j], re[1:], im[1:])
+            m = np.hypot(re, im)
+            norms.append(_power_norm(np.float_power(m, x.p).tolist(), m, x.p))
+            if not math.isfinite(norms[-1]):
+                raise _orbit_range_error(k, norms[-1])
+    return norms + [0.0] * (n + 1 - len(norms))
 
 
 def _orbit_range_error(step: int, norm: float) -> RangeError:

@@ -172,6 +172,25 @@ def _in_space(p: float, x, what: str):
     return x
 
 
+def _lane_error(x: _Batch, bad: np.ndarray, message) -> RangeError:
+    """``message(n)`` for the first lane where ``bad`` holds, n its coordinate in its vector."""
+    lane = int(np.argmax(bad))
+    return RangeError(message(int(x.positions()[lane]) + 1))
+
+
+def _finite_image(x: _Batch, y: _Batch, what: str, detail: str = "") -> _Batch:
+    """``y``, the image of ``x`` lane by lane, once every finite lane of ``x`` has a finite image.
+
+    The first lane where ``x`` is finite and ``y`` is not raises
+    ``RangeError`` naming its coordinate in ``y``: the one rule for an
+    image that left float range.
+    """
+    bad = np.isfinite(x.re) & np.isfinite(x.im) & ~(np.isfinite(y.re) & np.isfinite(y.im))
+    if bad.any():
+        raise _lane_error(y, bad, lambda n: f"{what} image at coordinate {n} is beyond float range{detail}")
+    return y
+
+
 def _cmul(a, b, c, d):
     """(a + bi)(c + di) on split parts, as CPython multiplies complexes: (ac - bd, ad + bc)."""
     return a * c - b * d, a * d + b * c
@@ -633,15 +652,19 @@ def _shift(t: ShiftOperator, x: _Batch) -> _Batch:
     """``t`` applied to every vector of ``x``: each loses its first lane.
 
     The weights come from one ``weight_range`` call up to the longest
-    vector, and lane n-1 of the image is w_(n-1) * x_n by ``_cmul``.
+    vector, and lane n-1 of the image is w_(n-1) * x_n by ``_cmul``.  A
+    product beyond float range raises ``RangeError`` naming its coordinate
+    in the image.
     """
     _in_space(t.p, x, "operator")
     sizes = np.diff(x.bounds)
     pos = x.positions()
     keep = pos > 0
     w = t.weights.weight_range(0, int(sizes.max()) - 1) if sizes.max(initial=0) > 1 else np.empty(0, np.complex128)
-    re, im = _cmul(w.real[pos[keep] - 1], w.imag[pos[keep] - 1], x.re[keep], x.im[keep])
-    return _Batch(x.p, re, im, _bounds(np.maximum(sizes - 1, 0)))
+    kept = _Batch(x.p, x.re[keep], x.im[keep], _bounds(np.maximum(sizes - 1, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = _cmul(w.real[pos[keep] - 1], w.imag[pos[keep] - 1], kept.re, kept.im)
+    return _finite_image(kept, _Batch(x.p, re, im, kept.bounds), "operator")
 
 
 def apply_shift(t: ShiftOperator, x: FinSeqVector) -> FinSeqVector:

@@ -483,7 +483,14 @@ _JSON = st.recursive(
 @settings(max_examples=150)
 @given(_JSON)
 def test_dumps_is_byte_identical_to_indented_json_dumps(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+    # strict JSON: a nan or inf anywhere is refused by both, as ValueError
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _dumps(value)
+    else:
+        assert _dumps(value) == expected
 
 
 def test_dumps_matches_json_dumps_on_full_size_vectors():

@@ -50,7 +50,9 @@ def _run(argv: list[str]) -> dict:
 
     A ``RuntimeWarning`` (a raw numpy overflow or invalid-value report)
     is raised as an error: the corpus is deterministic, so a command that
-    prints one shows it on every run and must be fixed, not recorded.
+    prints one shows it on every run and must be fixed, not recorded.  So
+    is a ``NaN`` or ``Infinity`` token in JSON stdout, which strict JSON
+    readers refuse (see ``_parse``).
     """
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -62,6 +64,7 @@ def _run(argv: list[str]) -> dict:
     finally:
         os.chdir(cwd)
     lines = err.getvalue().splitlines()
+    _parse(out.getvalue())
     return {"exit": code, "stderr": lines[0] if lines else "", "stdout": out.getvalue()}
 
 
@@ -74,10 +77,14 @@ def _scalar(field: str) -> object:
     return field
 
 
+def _refuse(token: str) -> object:
+    raise AssertionError(f"JSON stdout holds {token}, which is not a JSON token")
+
+
 def _parse(stdout: str) -> object:
-    """A JSON document, or else the lines of CSV/plain text split into fields."""
+    """A strict JSON document, or else the lines of CSV/plain text split into fields."""
     try:
-        return json.loads(stdout)
+        return json.loads(stdout, parse_constant=_refuse)
     except json.JSONDecodeError:
         return [[_scalar(f) for f in line.split(",")] for line in stdout.split("\n")]
 
@@ -130,6 +137,12 @@ def test_close_allows_a_few_ulps_only():
     assert not _close([1], [1.0])
     assert not _close({"a": 1}, {"b": 1})
     assert _parse("n,norm\n0,1.5\n") == [["n", "norm"], [0, 1.5], [""]]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_parse_refuses_non_json_tokens(token):
+    with pytest.raises(AssertionError, match=token):
+        _parse('{"max_residual": ' + token + "}")
 
 
 if __name__ == "__main__":

@@ -346,8 +346,9 @@ def test_a_saturated_suffix_costs_no_profile_lanes(w, monkeypatch):
     ev = horizon_evidence(w, 2.0, horizon)
     # the two windows, and the terms up to n0 in chunks of _LEAF or less
     assert n0 < 10_000 and sum(asked) <= 2 * math.isqrt(horizon) + n0 + _LEAF
-    # nor many tree nodes: the walk yields O(log horizon) of them past n0
-    assert sum(1 for _ in dynamics._pairwise_walk(0, horizon, n0)) < 4 * math.log2(horizon)
+    # nor many tree nodes, 2 * leaves - 1 of them: O(log horizon) past n0
+    leaves = _drive(dynamics._tree(0, horizon, n0), lambda lo, hi: 0.0)[1]
+    assert 2 * len(leaves) - 1 < 4 * math.log2(horizon)
     assert ev.last_decade_increment == known
 
 
@@ -411,17 +412,19 @@ def test_exp_in_place_of_a_constant_chunk_writes_the_bits_of_np_exp(value):
     assert np.array_equal(chunk.view(np.int64), expected.view(np.int64))
 
 
+def _drive(tree, leaf_sum):
+    """Run a ``dynamics._tree`` to its end, sending it leaf_sum(lo, hi) for each leaf: its total and its leaves."""
+    leaves = [next(tree)]
+    try:
+        while True:
+            leaves.append(tree.send(leaf_sum(*leaves[-1])))
+    except StopIteration as done:
+        return done.value, leaves
+
+
 def _streamed_sum(a, lo):
-    """a[lo:].sum() leaf by leaf, driven through the tree walk that horizon_evidence uses."""
-    sums = []
-    for node in dynamics._pairwise_walk(lo, len(a), len(a)):
-        if node is dynamics._ADD:
-            right = sums.pop()
-            sums[-1] += right
-        else:
-            sums.append(float(a[node[0] : node[1]].sum()))
-    [total] = sums
-    return total
+    """a[lo:].sum() leaf by leaf, driven through the tree that horizon_evidence uses."""
+    return _drive(dynamics._tree(lo, len(a), len(a)), lambda lo, hi: float(a[lo:hi].sum()))[0]
 
 
 @pytest.mark.parametrize("n", [129, 1000, 2**17 + 5, 10**6])
@@ -431,6 +434,28 @@ def test_streamed_sum_follows_numpys_pairwise_tree(n):
     a = np.exp(np.random.default_rng(n).uniform(-40.0, 40.0, n))
     for lo in (0, n // 10):
         assert _streamed_sum(a, lo) == float(a[lo:].sum())
+
+
+_SUM_FAMILIES = [
+    PowerLawBeta(0.5),
+    BalancedBlocks(2.0, 0.5, a_first=True),
+    BalancedBlocks(0.5, 2.0, a_first=True),
+    Constant(2.0),
+    Constant(0.5),
+    Explicit(tuple(np.random.default_rng(5).uniform(1.0, 1.03, 10**5))),  # saturates to 0.0 near n = 25,000
+]
+
+
+@pytest.mark.parametrize("horizon", [5 * _LEAF + 17, 10**5])
+@pytest.mark.parametrize("w", _SUM_FAMILIES, ids=["T1", "T2", "T3", "constant 2", "constant 0.5", "explicit"])
+def test_chaos_sums_of_many_starts_equal_np_sum_bit_for_bit(w, horizon):
+    n0 = dynamics._saturated_suffix(w, 2.0, horizon)[0]
+    starts = (0, horizon // 10, horizon // 8, horizon // 4, horizon // 2, min((n0 + horizon) // 2, horizon - 1))
+    with np.errstate(over="ignore", under="ignore"):
+        terms = np.exp(-2.0 * w.log_abs_profile(0, horizon))
+        expected = [float(np.sum(terms[s:])) for s in starts]
+    got = dynamics._chaos_sums(w, 2.0, horizon, starts)
+    assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
 def _evidence_peak(w, horizon):

@@ -716,6 +716,13 @@ def test_apply_shift_exponent_mismatch():
         apply_shift(t, FinSeqVector(1.0, (1,)))
 
 
+def test_apply_shift_refuses_an_image_beyond_float_range():
+    # 1e308 * 10 is inf: the image coordinate is named, not returned as inf
+    t = ShiftOperator(Constant(1e308), 2.0)
+    with pytest.raises(RangeError, match=r"^operator image at coordinate 1 is beyond float range$"):
+        apply_shift(t, FinSeqVector(2.0, (1, 10)))
+
+
 def test_shift_annihilates_basis_vector():
     t = ShiftOperator(Constant(0.5), 2.0)
     e1 = FinSeqVector(2.0, (1,))
