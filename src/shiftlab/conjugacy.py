@@ -65,7 +65,6 @@ from .seqspace import (
     _norms,
     _one,
     _pair,
-    _powers,
     _random_parts,
     _running_powers,
     _shift,
@@ -151,11 +150,11 @@ def _h(x: _Batch, s: float) -> _Batch:
     cancel.  Every t**s comes from one ``np.float_power`` call; ``log1p`` and
     ``expm1`` stay scalar ``math`` calls on only the lanes of the second
     form, because numpy's versions round differently in 8-9 % of lanes.
-    ``HStep`` checks s.  Where a**s - b**s is inf, a nonzero lane's image
-    is not finite, and ``_finite_image`` names the first such coordinate.
+    ``HStep`` checks s.  Where a**s - b**s is not finite, a nonzero lane's
+    image is not finite either, and ``_finite_image`` names the first such
+    coordinate.
     """
-    m, d = _powers(x)
-    a = _tails(d, x.bounds)
+    m, d, a = _tails(x)
     last = x.bounds[1:][np.diff(x.bounds) > 0] - 1  # the last lane of every vector, where b = 0
     with np.errstate(all="ignore"):
         a_s = np.float_power(a, s)
@@ -165,12 +164,10 @@ def _h(x: _Batch, s: float) -> _Batch:
         r = d / b
         near = (m != 0.0) & (b != 0.0) & (r < 1.0)
         diff = a_s - b_s  # b_s is +0.0 wherever b is 0, and a_s - 0.0 is a_s
-        diff[a_s == math.inf] = math.inf  # a**s raises before b**s is taken
         lanes = np.flatnonzero(near)
         v = s * np.array(list(map(math.log1p, r[lanes].tolist())))
         e = np.array(list(map(math.expm1, np.where(v > _LOG_MAX, math.inf, v).tolist())))
-        near_bs = b_s[lanes]
-        diff[lanes] = np.where((near_bs == math.inf) | (e == math.inf), math.inf, near_bs * e)
+        diff[lanes] = b_s[lanes] * e
         f = np.float_power(diff, 1.0 / x.p)
     return _finite_image(x, _rescaled(x, m, f, x.p), "h_map", f" (s = {s!r})")
 

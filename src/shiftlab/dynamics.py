@@ -278,7 +278,8 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
     ``_saturated_suffix`` first finds an n0 from which every term is 0.0,
     or every one inf.  Each start's ``_tree`` yields a node from n0 on as
     one leaf, and its sum is that value, which is also what ``np.sum``
-    gives over its terms, so no term there is computed.  The trees ask for
+    gives over its terms, so no term there is computed; a start equal to
+    the horizon is one empty leaf, whose sum is 0.0.  The trees ask for
     their other leaves in one rising sweep: the pending leaf with the
     lowest start is served first.  A rolling buffer of 2 * _LEAF terms
     holds those from the lowest leaf in flight on.  When a leaf runs past
@@ -310,7 +311,7 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
                 np.multiply(profile, -p, out=terms)
                 _exp_in_place(terms)
             try:
-                asks[i] = trees[i].send(known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
+                asks[i] = trees[i].send(0.0 if lo == hi else known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
             except StopIteration as done:
                 asks[i], totals[i] = None, done.value
     return totals
@@ -475,7 +476,7 @@ class OrbitTrace:
 
     def to_dict(self) -> dict:
         return {
-            "norms": [_json_float(v) for v in self.norms],
+            "norms": list(self.norms),
             "valid_horizon": self.valid_horizon,
             "operator": self.operator,
             "point": self.point,

@@ -255,49 +255,35 @@ def lp_norm(x: FinSeqVector) -> float:
     return _norms(_one(x).moduli(), [0, len(x.coords)], x.p)[0]
 
 
-def _powers(x: _Batch) -> tuple[np.ndarray, np.ndarray]:
-    """The moduli |x_n| and the powers |x_n|**p of every lane of ``x``.
+def _tails(x: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moduli |x_n|, the powers |x_n|**p and every tail power sum of each vector of ``x``.
 
-    A power that is not finite raises, for the first vector that holds one,
-    the ``RangeError`` that ``tail_power_sums`` documents: walking from the
-    vector's last coordinate back, the first such power names its
-    coordinate, unless a tail of the finite powers after it has already left
-    float range, which ``_tails`` of those powers, with zeros in front,
-    raises itself.
+    The powers come from one ``np.float_power`` call.  ``np.frexp`` splits
+    each finite one into a 53-bit integer times a power of two, so over
+    2**-k, with k per vector from the least of its exponents or 1, every
+    power of the vector is an integer and ``accumulate`` sums them exactly
+    from the vector's end; a power that is not finite counts as 0 there.
+    Each sum is rounded once: by its conversion to float64, correctly
+    rounded as ``float(int)`` is, times 2**-k, which is exact while every
+    tail is a normal float and every sum is below 2**1023; otherwise by
+    ``int / int`` true division, also correctly rounded, which raises
+    ``OverflowError`` exactly when the tail rounds to inf.  So every tail
+    has the bits of ``math.fsum`` over its powers.
+
+    The vectors are walked from the last one back, each from its last
+    coordinate back, and the first failure met raises the ``RangeError``
+    that ``tail_power_sums`` documents: a power that is not finite, or a
+    tail beyond float range.
     """
     m = x.moduli()
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.float_power(m, x.p)
-    bad = ~np.isfinite(powers)
-    if bad.any():
-        j = int(np.searchsorted(x.bounds, np.argmax(bad), side="right")) - 1
-        lo, hi = x.bounds[j : j + 2].tolist()
-        k = hi - 1 - int(np.argmax(bad[lo:hi][::-1]))
-        _tails(np.where(np.arange(lo, hi) > k, powers[lo:hi], 0.0), _bounds([hi - lo]))
-        if math.isfinite(x.re[k]) and math.isfinite(x.im[k]):  # |x_n| or its power is beyond float range
-            raise RangeError(f"|x_n|**p at coordinate {k - lo + 1} is beyond float range")
-        raise RangeError(f"tail power sum from coordinate {k - lo + 1} is {powers.item(k) + math.inf!r}: it left float range")
-    return m, powers
-
-
-def _tails(powers: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Every suffix sum of finite ``powers`` within each segment, correctly rounded.
-
-    ``np.frexp`` splits each power into a 53-bit integer times a power of
-    two, so over 2**-k, with k per segment from the least of its exponents
-    or 1, every power of the segment is an integer and ``accumulate`` sums
-    them exactly from the segment's end.  Each sum is rounded once: by its
-    conversion to float64, correctly rounded as ``float(int)`` is, times
-    2**-k, which is exact while every tail is a normal float and every sum
-    is below 2**1023; otherwise by ``int / int`` true division, also
-    correctly rounded, which raises ``OverflowError`` exactly when the tail
-    rounds to inf.  So every tail has the bits of ``math.fsum`` over its powers.  A
-    tail beyond float range raises the ``RangeError`` that
-    ``tail_power_sums`` documents, naming the coordinate in its segment.
-    """
-    sizes = np.diff(bounds)[::-1]  # the lanes run from the last back, so the vectors do too
+    rev = powers[::-1]  # the lanes run from the last back, so the vectors do too
+    finite = np.isfinite(rev)
+    first_bad = len(rev) if finite.all() else int(np.argmin(finite))  # the first non-finite power the walk meets, if any
+    sizes = np.diff(x.bounds)[::-1]
     rb = _bounds(sizes)
-    frac, exp = np.frexp(powers[::-1])
+    frac, exp = np.frexp(np.where(finite, rev, 0.0))
     # k >= 0, since 53 counts in; the 53 appended only gives an empty vector a k
     k = 53 - np.minimum(np.minimum.reduceat(np.append(exp, 53), rb[:-1]), 53)
     ints = (frac * 2.0**53).astype(np.int64).tolist()  # power = ints * 2**(exp - 53), exactly
@@ -312,14 +298,19 @@ def _tails(powers: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         else:
             scales.append(1.0)
             denominator = 1 << kj
-            for j, t in enumerate(segment):  # from the last coordinate back
+            for j, t in enumerate(segment[: min(hi, first_bad) - lo]):  # from the last coordinate back
                 try:
                     segment[j] = t / denominator
                 except OverflowError:
                     raise RangeError(f"tail power sum from coordinate {hi - lo - j} is inf: it left float range") from None
+        if first_bad < hi:
+            lane = len(rev) - 1 - first_bad
+            if math.isfinite(x.re[lane]) and math.isfinite(x.im[lane]):  # |x_n| or its power is beyond float range
+                raise RangeError(f"|x_n|**p at coordinate {hi - first_bad} is beyond float range")
+            raise RangeError(f"tail power sum from coordinate {hi - first_bad} is {rev.item(first_bad) + math.inf!r}: it left float range")
         sums += segment
     tails = np.array(sums, dtype=np.float64) * np.repeat(scales, sizes)
-    return tails[::-1]
+    return m, powers, tails[::-1]
 
 
 def tail_power_sums(x: FinSeqVector) -> list[float]:
@@ -329,12 +320,13 @@ def tail_power_sums(x: FinSeqVector) -> list[float]:
     is the exact sum of its powers, taken over integers, rounded once to the
     nearest float, so it has the bits of ``math.fsum`` over its suffix
     rather than the accumulated error of a running total.  The cost is
-    O(n) integer additions.  Walking from the last coordinate to the first,
-    the first power beyond float range raises ``RangeError`` naming its
-    coordinate, as does the first tail that is inf or nan.
+    O(n) integer additions.  One walk, from the last coordinate to the
+    first, decides every error: the first power met that is not finite
+    raises ``RangeError`` naming its coordinate (``|x_n|**p ...`` when the
+    coordinate is finite, ``tail power sum ... is nan`` or ``inf`` when it
+    is not), as does the first tail beyond float range.
     """
-    x1 = _one(x)
-    return _tails(_powers(x1)[1], x1.bounds).tolist() + [0.0]
+    return _tails(_one(x))[2].tolist() + [0.0]
 
 
 def _padded(x: FinSeqVector, y: FinSeqVector) -> tuple[tuple[complex, ...], tuple[complex, ...]]:

@@ -695,9 +695,10 @@ def test_tail_integers_are_as_short_as_each_vector_needs():
 
 
 def _tail_peak(powers, bounds):
+    # a p = 1 batch whose real parts are the powers: float_power(m, 1.0) is m
     tracemalloc.start()
     try:
-        _tails(powers, np.array(bounds))
+        _tails(_Batch(1.0, powers, np.zeros_like(powers), np.array(bounds)))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

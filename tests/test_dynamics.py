@@ -450,7 +450,7 @@ _SUM_FAMILIES = [
 @pytest.mark.parametrize("w", _SUM_FAMILIES, ids=["T1", "T2", "T3", "constant 2", "constant 0.5", "explicit"])
 def test_chaos_sums_of_many_starts_equal_np_sum_bit_for_bit(w, horizon):
     n0 = dynamics._saturated_suffix(w, 2.0, horizon)[0]
-    starts = (0, horizon // 10, horizon // 8, horizon // 4, horizon // 2, min((n0 + horizon) // 2, horizon - 1))
+    starts = (0, horizon // 10, horizon // 8, horizon // 4, horizon // 2, min((n0 + horizon) // 2, horizon - 1), horizon)
     with np.errstate(over="ignore", under="ignore"):
         terms = np.exp(-2.0 * w.log_abs_profile(0, horizon))
         expected = [float(np.sum(terms[s:])) for s in starts]
@@ -699,7 +699,7 @@ def _orbit_cases(draw):
 @example((ShiftOperator(Constant(2), 2.0), FinSeqVector(2.0, (1e200, complex(math.nan, 0.0))), 1))
 # an inf modulus beside finite moduli whose sum overflows
 @example((ShiftOperator(Constant(1), 1.0), FinSeqVector(1.0, (complex(1.5e308, 1.5e308), 1.7e308, 1.7e308)), 0))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_orbit_norms_bit_identical_to_repeated_application(case):
     # the same norms, or a RangeError naming the first step whose norm is inf or nan
     t, x, n = case

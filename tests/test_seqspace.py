@@ -176,6 +176,8 @@ INF, NAN = complex(math.inf, 0.0), complex(math.nan, 0.0)
         (2.0, (1e200, NAN), "tail power sum from coordinate 2 is nan: it left float range"),
         # every power is at least 2**53, so the tails are integers over 2**0
         (2.0, (1e154, 1e154), "tail power sum from coordinate 1 is inf: it left float range"),
+        # the tails before the bad power overflow, but the walk meets the power first
+        (2.0, (1e154, 1e154, 1e200), "|x_n|**p at coordinate 3 is beyond float range"),
         (1.0, (2.0**53, sys.float_info.max, sys.float_info.max), "tail power sum from coordinate 2 is inf: it left float range"),
         # a finite coordinate whose modulus itself is beyond float range
         (2.0, (NAN, complex(1.5e308, 1.5e308)), "|x_n|**p at coordinate 2 is beyond float range"),
