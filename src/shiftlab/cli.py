@@ -160,24 +160,24 @@ _FAMILIES = {
 }
 
 
-def _parse_weights(desc: str) -> tuple[object, float | None]:
-    """Parse a weight descriptor; returns (weights, embedded exponent or None)."""
+def _parse_operator(desc: str, p_flag: float | None) -> ShiftOperator:
+    """The operator a weight descriptor names, on l^p.
+
+    p is the descriptor's trailing ``:<p>`` if it has one, else ``p_flag``
+    (``--p``) if given, else DEFAULT_P; an example operator keeps its own p.
+    The weights are built before the trailing ``:<p>`` is checked, so a
+    descriptor wrong in both reports its weights.
+    """
     kind, *fields = desc.split(":")
     kind = kind.strip().lower()
     if kind == "example" and len(fields) == 1:
-        op = make_example(fields[0])
-        return op.weights, op.p
+        return make_example(fields[0])
     if kind in _FAMILIES:
         arity, build = _FAMILIES[kind]
         if len(fields) in (arity, arity + 1):
-            return build(*fields[:arity]), (check_exponent(fields[arity]) if len(fields) > arity else None)
+            w = build(*fields[:arity])
+            return ShiftOperator(w, check_exponent(fields[arity]) if len(fields) > arity else (DEFAULT_P if p_flag is None else p_flag))
     raise ValueError(f"cannot parse weight descriptor {desc!r}")
-
-
-def _parse_operator(desc: str, p_flag: float | None) -> ShiftOperator:
-    w, p_embedded = _parse_weights(desc)
-    p = p_embedded if p_embedded is not None else (p_flag if p_flag is not None else DEFAULT_P)
-    return ShiftOperator(w, p)
 
 
 def _parse_constant_shift(desc: str) -> tuple[complex, float]:
@@ -228,14 +228,6 @@ def _load(path: str) -> object:
             return json.load(f)
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
 
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False, allow_nan=False).encode
@@ -485,7 +477,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             payload = {"command": args.command, "config": config, "result": result, "seed": args.seed, "version": __version__}
             text = _dumps(payload)
-        _emit(text + "\n", args.out)
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as f:
+                f.write(text + "\n")
         return code
     except (ValueError, OverflowError, OSError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)

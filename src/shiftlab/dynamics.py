@@ -492,22 +492,32 @@ def _operator_descriptor(t: ShiftOperator) -> dict:
     return {"weights": weights_to_dict(t.weights), "p": t.p}
 
 
-def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
-    """||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
+def _orbit_range_error(step: int, norm: float) -> RangeError:
+    return RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
 
+
+def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
+    """The norm trace ||T^k x||_p for k = 0..n, bit for bit what apply_shift + lp_norm give.
+
+    The trace always has n+1 entries; entries past the support length are
+    exactly zero and ``valid_horizon`` reports where that happens.  For a
+    support of length L the cost is O(L * min(n, L)) float operations.
     The coordinates live in two float64 arrays, real and imaginary parts, and
     each step is one slice product with the weights w_1..w_{L-1}, built once.
     The product is ``_cmul``, Python's complex multiplication on split
     parts, and the moduli come from ``np.hypot``, which is what ``abs`` of a
     Python complex calls: numpy's complex128 product and modulus do not
-    round the same way.  The powers come from ``np.float_power``, which
-    calls libm's ``pow`` per lane as Python's ``**`` does (``np.power`` is
-    vectorized and does not round the same way; ``tests/test_dynamics.py``
-    pins that), and ``_power_norm`` sums them, or takes the scaled form
-    when their sum leaves float range.  A power beyond float range is inf
-    here, where ``**`` raises; a norm beyond it raises ``RangeError``
-    naming its step.  Once the support runs out the norms are 0.
+    round the same way.  The powers of each step's moduli come from one
+    ``np.float_power`` call, which calls libm's ``pow`` per lane as Python's
+    ``**`` does (``np.power`` is vectorized and does not round the same way;
+    ``tests/test_dynamics.py`` pins that), and ``_power_norm`` sums them, or
+    takes the scaled form when their sum leaves float range.  A power beyond
+    float range is inf here, where ``**`` raises; a norm beyond it raises
+    ``RangeError`` naming its step.  The operator and the space of ``x``
+    are checked only when n >= 1, since T^0 x is x itself.
     """
+    if n < 0:
+        raise ValueError(f"orbit length must be >= 0, got {n}")
     coords = np.array(x.coords, dtype=np.complex128)
     re, im = coords.real, coords.imag
     if n >= 1:
@@ -523,29 +533,8 @@ def _orbit_norm_list(t: ShiftOperator, x: FinSeqVector, n: int) -> list[float]:
             norms.append(_power_norm(np.float_power(m, x.p).tolist(), m, x.p))
             if not math.isfinite(norms[-1]):
                 raise _orbit_range_error(k, norms[-1])
-    return norms + [0.0] * (n + 1 - len(norms))
-
-
-def _orbit_range_error(step: int, norm: float) -> RangeError:
-    return RangeError(f"orbit norm at step {step} is {norm!r}: the orbit left float range")
-
-
-def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> OrbitTrace:
-    """The norm trace ||T^k x||_p for k = 0..n.
-
-    The trace always has n+1 entries; entries past the support length are
-    exactly zero and ``valid_horizon`` reports where that happens.  For a
-    support of length L the cost is O(L * min(n, L)) float operations on
-    split real and imaginary arrays, with the powers of each step's moduli
-    from one ``np.float_power`` call.  These round exactly as the Python
-    complex arithmetic and ``**`` of ``apply_shift`` and ``lp_norm`` do, so
-    the trace is bit for bit that of repeated application.  A norm beyond
-    float range raises ``RangeError`` naming its step.
-    """
-    if n < 0:
-        raise ValueError(f"orbit length must be >= 0, got {n}")
     return OrbitTrace(
-        norms=tuple(_orbit_norm_list(t, x, n)),
+        norms=tuple(norms + [0.0] * (n + 1 - len(norms))),
         valid_horizon=min(n, len(x.coords)),
         operator=_operator_descriptor(t),
         point=point or f"support:{len(x.coords)}",

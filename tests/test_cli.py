@@ -71,6 +71,29 @@ def test_classify_embedded_exponent_wins(capsys):
     assert doc["result"]["label"] == "Chaotic"
 
 
+@pytest.mark.parametrize(
+    "command", [("classify", "--weights"), ("orbit", "--point", "e1", "--n", "1", "--op")], ids=["classify", "orbit"]
+)
+@pytest.mark.parametrize(
+    "desc,flags,p",
+    [
+        ("constant:2:3", ("--p", "4"), 3.0),  # a trailing :<p> wins over --p
+        ("constant:2", ("--p", "4"), 4.0),  # --p wins over the default
+        ("constant:2", (), 2.0),  # the default
+        ("example:T1", ("--p", "4"), 2.0),  # an example operator keeps its own l^2
+        ("constant:0:0.5", (), "weights must be nonzero"),  # weights are built before :<p> is checked
+    ],
+)
+def test_descriptor_exponent_rule(capsys, command, desc, flags, p):
+    code, out, err = run(capsys, *command, desc, *flags)
+    if isinstance(p, str):
+        assert (code, out, err) == (1, "", f"error: {p}\n")
+        return
+    assert code == 0, err
+    config = json.loads(out)["config"]
+    assert (config["p"] if command[0] == "classify" else config["op"]["p"]) == p
+
+
 def test_classify_small_horizon_is_usage_error(capsys):
     code, out, err = run(capsys, "classify", "--weights", "explicit:1,1,1", "--horizon", "50")
     assert code == 1

@@ -203,9 +203,13 @@ def test_g_map_homogeneity(lam):
         assert max_coord_diff(lhs, rhs) <= 1e-10 * scale_ref
 
 
-def test_g_map_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        g_map(FinSeqVector(2.0, (1,)), 0.5)
+_BAD_Q = [0.5, 0.0, -1.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("q", _BAD_Q)
+def test_g_map_rejects_bad_exponent(q):
+    with pytest.raises(ValueError, match=r"^exponent must satisfy 1 <= p < inf, got "):
+        g_map(FinSeqVector(2.0, (1,)), q)
 
 
 def test_g_map_overflow_is_a_range_error():
@@ -244,6 +248,19 @@ def test_step_inverses_are_exact_parameter_flips():
 def test_hstep_rejects_bad_s():
     with pytest.raises(ValueError):
         HStep(2.0, -1.0)
+
+
+@pytest.mark.parametrize("q", _BAD_Q)
+def test_gstep_checks_q_when_built(q):
+    # a map onto l^q with q outside 1 <= q < inf is refused before it is applied or chained
+    with pytest.raises(ValueError, match=r"^exponent must satisfy 1 <= p < inf, got "):
+        GStep(2.0, q)
+
+
+def test_gstep_holds_q_as_a_float():
+    st_ = GStep(2.0, 3)
+    assert type(st_.q) is float and st_.codomain_p == 3.0
+    assert st_.to_dict() == {"kind": "g", "p": 2.0, "q": 3.0}
 
 
 def test_diagstep_rejects_zero_ratio():
