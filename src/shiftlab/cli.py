@@ -44,9 +44,9 @@ Exit codes: 0 pass, 1 usage or config error or a result beyond float
 range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
 mismatch.  Output is JSON with a stable key order that records the
 command, its config, the seed and the library version; ``orbit --format
-csv`` writes the trace rows alone, without seed or version.  ``--config
-FILE`` loads flag values, including optionally the command name, from a
-JSON object; explicit flags override.
+csv`` writes the trace rows alone, without seed or version.  ``--seed``
+must be >= 0.  ``--config FILE`` loads flag values, including optionally
+the command name, from a JSON object; explicit flags override.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -69,7 +70,6 @@ from .conjugacy import (
     chi,
     conjugacy_residual,
     diag_similarity,
-    map_to_dict,
 )
 from .dynamics import (
     DEFAULT_HORIZON,
@@ -94,7 +94,6 @@ from .seqspace import (
     _vector_dict,
     check_exponent,
     random_vectors,
-    weights_to_dict,
 )
 
 DEFAULT_P = 2.0
@@ -236,20 +235,32 @@ _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False, allow_n
 def _dumps(obj: object, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with sorted keys and a 2-space indent, byte for byte.
 
+    This is the one renderer of result records.  An object with a
+    ``to_dict()`` is written as that dict; any other dataclass is written
+    as its fields under their own names, so a record gains a key by gaining
+    a field, and a ``str`` enum field is written as its value.  The tagged
+    weight families and map steps keep a ``to_dict``, since their JSON is
+    not their fields, and so does ``HorizonEvidence``, the one record whose
+    nan or inf scalars are written, as strings (``_json_float``).
+
     The stdlib falls back to its pure-Python encoder whenever ``indent`` is
-    set.  Here dicts, whose keys must be str, are walked in Python, but every scalar, and every list
-    of numbers or of nonempty number lists (``coords``, ``weights``), is
-    encoded compactly by the C encoder in one call and then re-indented with
-    ``str.replace``: a number's text holds no comma or bracket.  That
-    encoder skips the circular-reference check, since every payload is a
-    tree that a command builds afresh; ``apply-map``'s image coordinates
-    reach it as the one list ``tolist`` makes of the image's parts.  It
-    refuses a nan or inf, which JSON has no token for, so stdout is strict
-    JSON: a report that holds one gives it as a string (``_json_float``).
+    set.  Here dicts, whose keys must be str, are walked in Python, but
+    every scalar, and every list of numbers or of nonempty number lists
+    (``coords``, ``weights``, ``norms``), is encoded compactly by the C
+    encoder in one call and then re-indented with ``str.replace``: a
+    number's text holds no comma or bracket.  That encoder skips the
+    circular-reference check, since every payload is a tree that a command
+    builds afresh; ``apply-map``'s image coordinates reach it as the one
+    list ``tolist`` makes of the image's parts.  It refuses a nan or inf
+    anywhere else, which JSON has no token for, so stdout is strict JSON.
     ``indent`` is the newline and indentation that precede this value's
     closing bracket.
     """
     inner = indent + "  "
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
+    elif is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -274,16 +285,16 @@ def _dumps(obj: object, indent: str = "\n") -> str:
 # commands: each returns (config, result, exit code) and writes nothing
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, object, int]:
     _at_most("--horizon", args.horizon, MAX_HORIZON)
     op = _parse_operator(args.weights, args.p)
     verdict = classify(op.weights, op.p, args.horizon)
     config = {
-        "weights": weights_to_dict(op.weights),
+        "weights": op.weights,
         "p": op.p,
         "horizon": args.horizon,
     }
-    return config, verdict.to_dict(), 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
+    return config, verdict, 2 if verdict.confidence is Confidence.INCONCLUSIVE else 0
 
 
 def _cmd_conjugate_check(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -316,15 +327,15 @@ def _cmd_conjugate_check(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "conjugate": True,
         "chi_f": chi(abs(lam)),
         "chi_g": chi(abs(omega)),
-        "map": map_to_dict(phi),
-        "residual": report.to_dict(),
+        "map": phi,
+        "residual": report,
         "passed": passed,
     }
     return config, result, 0 if passed else 2
 
 
-def _cmd_orbit(args: argparse.Namespace) -> tuple[dict | None, dict | list, int]:
-    """With ``--format csv`` the config is None and the result is the CSV rows."""
+def _cmd_orbit(args: argparse.Namespace) -> tuple[dict | None, object, int]:
+    """With ``--format csv`` the config is None and the result is the CSV text."""
     if _at_most("--n", args.n, MAX_LENGTH) < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     op = _parse_operator(args.op, args.p)
@@ -338,8 +349,8 @@ def _cmd_orbit(args: argparse.Namespace) -> tuple[dict | None, dict | list, int]
         x = _parse_point(args.point, op.p, args.seed, args.n)
         trace = orbit_norms(op, x, args.n, point=args.point)
     if args.format == "csv":
-        return None, trace.csv_rows(), 0
-    return {"op": trace.operator, "point": args.point, "n": args.n}, trace.to_dict(), 0
+        return None, "\n".join(["n,norm", *(f"{i},{v!r}" for i, v in enumerate(trace.norms))]), 0
+    return {"op": trace.operator, "point": args.point, "n": args.n}, trace, 0
 
 
 def _parse_param(token: str, name: str) -> float:
@@ -375,7 +386,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> tuple[dict, dict, int]:
             raise ValueError(f"cannot parse {args.diag!r}; expected <lam>:<omega>")
         phi = diag_similarity(_parse_scalar(parts[0]), _parse_scalar(parts[1]), x.p)
     image = phi.on_batch(x)
-    result: dict = {"map": map_to_dict(phi), "image": _vector_dict(image)}
+    result: dict = {"map": phi, "image": _vector_dict(image)}
     if args.roundtrip:
         back = phi.inverse().on_batch(image)
         result["roundtrip_max_deviation"] = max(_subtract(x, back).moduli().tolist(), default=0.0)
@@ -471,12 +482,11 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(expanded)
         except SystemExit:  # --help / --version; every other parse error raises ValueError
             return 0
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         config, result, code = args.func(args)
-        if config is None:  # orbit --format csv
-            text = "\n".join(",".join(row) for row in result)
-        else:
-            payload = {"command": args.command, "config": config, "result": result, "seed": args.seed, "version": __version__}
-            text = _dumps(payload)
+        # the config is None for orbit --format csv, whose result is the text
+        text = result if config is None else _dumps({"command": args.command, "config": config, "result": result, "seed": args.seed, "version": __version__})
         if args.out is None:
             sys.stdout.write(text + "\n")
         else:

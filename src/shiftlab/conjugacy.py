@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import islice
 from typing import Union
 
@@ -93,7 +93,6 @@ __all__ = [
     "conjugacy_class_decision",
     "conjugacy_residual",
     "ResidualReport",
-    "map_to_dict",
 ]
 
 
@@ -203,6 +202,8 @@ class HStep(_Step):
     s: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", check_exponent(self.p))
+        object.__setattr__(self, "s", float(self.s))
         if not math.isfinite(self.s) or self.s <= 0.0:
             raise ValueError(f"exponent s must be finite and > 0, got {self.s!r}")
 
@@ -250,6 +251,7 @@ class GStep(_Step):
     q: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", check_exponent(self.p))
         object.__setattr__(self, "q", check_exponent(self.q))
 
     @property
@@ -289,6 +291,7 @@ class DiagStep(_Step):
     ratio: complex
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", check_exponent(self.p))
         r = complex(self.ratio)
         if r == 0:
             raise ValueError("diagonal ratio must be nonzero")
@@ -326,7 +329,7 @@ class ConjugacyMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        prev = self.domain_p
+        prev = check_exponent(self.domain_p)
         for st in self.steps:
             if st.domain_p != prev:
                 raise ValueError(
@@ -435,9 +438,6 @@ class ResidualReport:
     sample_count: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # samples per batch, drawn as they are needed: numpy gains nothing more
 # past some thousands of coordinates, while the memory a batch takes grows
@@ -495,12 +495,3 @@ def conjugacy_residual(
         sample_count=samples,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def map_to_dict(phi: ConjugacyMap) -> dict:
-    """JSON-ready form: the two exponents and each step's ``to_dict``."""
-    return {"domain_p": phi.domain_p, "codomain_p": phi.codomain_p, "steps": [st.to_dict() for st in phi.steps]}

@@ -54,7 +54,6 @@ from .seqspace import (
     _power_norm,
     _running_powers,
     check_exponent,
-    weights_to_dict,
 )
 
 __all__ = [
@@ -122,7 +121,8 @@ class HorizonEvidence:
     not long enough to see balanced-block oscillation whole: near the
     horizon, pair k of ``BalancedBlocks`` is 2k, about 2 * sqrt(horizon),
     positions long, so the window covers about half a pair and can miss
-    every return of |beta| to 1 (or every peak).
+    every return of |beta| to 1 (or every peak).  ``to_dict`` writes a nan
+    or inf scalar as a string, the one record whose JSON does.
     """
 
     horizon: int
@@ -152,14 +152,6 @@ class DynamicsVerdict:
     confidence: Confidence
     horizon: int
     evidence: HorizonEvidence
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label.value,
-            "confidence": self.confidence.value,
-            "horizon": self.horizon,
-            "evidence": self.evidence.to_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -467,29 +459,13 @@ class OrbitTrace:
     length every coordinate has been shifted away, so the recorded norms are
     exactly 0 from there on; ``valid_horizon`` = min(N, support length) marks
     the last step that still carries information about the operator.
+    ``operator`` is the ``ShiftOperator`` T and ``point`` names x.
     """
 
     norms: tuple[float, ...]
     valid_horizon: int
-    operator: dict
+    operator: ShiftOperator
     point: str
-
-    def to_dict(self) -> dict:
-        return {
-            "norms": list(self.norms),
-            "valid_horizon": self.valid_horizon,
-            "operator": self.operator,
-            "point": self.point,
-        }
-
-    def csv_rows(self) -> list[tuple[str, str]]:
-        rows = [("n", "norm")]
-        rows.extend((str(i), repr(v)) for i, v in enumerate(self.norms))
-        return rows
-
-
-def _operator_descriptor(t: ShiftOperator) -> dict:
-    return {"weights": weights_to_dict(t.weights), "p": t.p}
 
 
 def _orbit_range_error(step: int, norm: float) -> RangeError:
@@ -536,7 +512,7 @@ def orbit_norms(t: ShiftOperator, x: FinSeqVector, n: int, point: str = "") -> O
     return OrbitTrace(
         norms=tuple(norms + [0.0] * (n + 1 - len(norms))),
         valid_horizon=min(n, len(x.coords)),
-        operator=_operator_descriptor(t),
+        operator=t,
         point=point or f"support:{len(x.coords)}",
     )
 
@@ -578,6 +554,6 @@ def escape_demo(lam: complex, p: float, n: int) -> OrbitTrace:
     return OrbitTrace(
         norms=tuple(norms.tolist()),
         valid_horizon=n - 1,
-        operator=_operator_descriptor(t),
+        operator=t,
         point="escape:basis",
     )

@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 
 from shiftlab import (
     ConjugacyMap,
+    Constant,
+    DiagStep,
     GStep,
     HStep,
+    ResidualReport,
     __version__,
+    classify,
     cli,
     diag_similarity,
-    map_to_dict,
+    escape_demo,
     max_coord_diff,
     vector_from_dict,
     vector_to_dict,
@@ -526,6 +530,36 @@ def test_dumps_matches_json_dumps_on_full_size_vectors():
         assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _records():
+    inf_verdict = classify(Constant(0.5), 2.0, horizon=1000)  # its chaos sum is inf
+    evidence = {"horizon": 1000, "window": 31, "partial_sum": "inf", "last_decade_increment": "inf"}
+    evidence.update({k: getattr(inf_verdict.evidence, k) for k in ("head_log_max", "tail_log_min", "tail_log_max")})
+    yield inf_verdict, {"label": "NotTransitive", "confidence": "Analytic", "horizon": 1000, "evidence": evidence}
+    yield escape_demo(2j, 2.0, 3), {
+        "norms": [1.0, 2.0, 4.0],
+        "valid_horizon": 2,
+        "operator": {"p": 2.0, "weights": {"kind": "constant", "value": [0.0, 2.0]}},
+        "point": "escape:basis",
+    }
+    yield ResidualReport(1.5e-16, 7, 100, 3), {"max_residual": 1.5e-16, "worst_index": 7, "sample_count": 100, "seed": 3}
+    yield ConjugacyMap((), 2.0, 2.0), {"steps": [], "domain_p": 2.0, "codomain_p": 2.0}
+    steps = (DiagStep(1.0, 1j), HStep(1.0, 0.5), GStep(1.0, 4.0))
+    yield ConjugacyMap(steps, 1.0, 4.0), {
+        "steps": [
+            {"kind": "diag", "p": 1.0, "ratio": [0.0, 1.0]},
+            {"kind": "h", "p": 1.0, "s": 0.5},
+            {"kind": "g", "p": 1.0, "q": 4.0},
+        ],
+        "domain_p": 1.0,
+        "codomain_p": 4.0,
+    }
+
+
+@pytest.mark.parametrize("record,expected", list(_records()), ids=["verdict", "escape-trace", "residual", "empty-map", "three-step-map"])
+def test_dumps_renders_records_from_their_fields(record, expected):
+    assert _dumps(record) == json.dumps(expected, sort_keys=True, indent=2)
+
+
 def test_out_file_writing(capsys, tmp_path):
     target = tmp_path / "verdict.json"
     code, out, err = run(capsys, "classify", "--weights", "constant:2", "--out", str(target))
@@ -543,6 +577,24 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, out, err = run(capsys, "classify")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--weights", "constant:2"],
+        ["conjugate-check", "--f", "2:2", "--g", "4:3"],
+        ["orbit", "--op", "constant:2", "--point", "e3", "--n", "2"],
+        ["orbit", "--op", "constant:2", "--point", "box:5", "--n", "2"],
+        ["apply-map", "--h", "s=2", "--in", "vec.json"],
+    ],
+    ids=["classify", "conjugate-check", "orbit-e3", "orbit-box", "apply-map"],
+)
+def test_negative_seed_is_a_usage_error_on_every_subcommand(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "vec.json").write_text('{"p": 2, "coords": [1, 2]}')
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, "--seed=-1") == (1, "", "error: --seed must be >= 0, got -1\n")
+    assert run(capsys, *argv, "--seed=0")[0] == 0
 
 
 def test_help_exits_zero(capsys):
@@ -726,7 +778,8 @@ def _oracle(doc: dict, kind: str, param, roundtrip: bool) -> tuple[int, str, str
         else:
             phi = diag_similarity(*param, x.p)
         image = phi.apply(x)
-        result = {"map": map_to_dict(phi), "image": vector_to_dict(image)}
+        steps = [step.to_dict() for step in phi.steps]
+        result = {"map": {"codomain_p": phi.codomain_p, "domain_p": phi.domain_p, "steps": steps}, "image": vector_to_dict(image)}
         if roundtrip:
             result["roundtrip_max_deviation"] = max_coord_diff(x, phi.inverse().apply(image))
     except (ValueError, OverflowError) as e:

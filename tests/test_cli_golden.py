@@ -8,7 +8,9 @@ echoed the same way on every machine.
 On the Python, numpy and libc versions named in the corpus header, stdout
 must match byte for byte.  On other versions a libm may round ``pow`` or
 ``log`` differently, so there every key, string and int must still match
-exactly while floats may differ by up to 4 ulp.
+exactly while floats may differ by up to 4 ulp, and the texts with every
+number token masked must match byte for byte, so key order, indentation and
+separators are checked on every machine.
 
 ``python tests/test_cli_golden.py`` rewrites every expectation from the
 current code.  Do that only for a deliberate change of output.
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import platform
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +33,8 @@ from shiftlab.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES_FILE = os.path.join(GOLDEN, "cases.json")
 FLOAT_ULPS = 4
+# a JSON number token, or a CSV field that is one
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def _versions() -> dict:
@@ -102,11 +107,17 @@ def _close(a: object, b: object) -> bool:
     return a == b
 
 
+def _mask(text: str) -> str:
+    """``text`` with every number token replaced by ``0``: its layout alone."""
+    return _NUMBER.sub("0", text)
+
+
 def _assert_same_output(got: str, expected: str) -> None:
-    """Byte for byte on the corpus's versions; elsewhere floats within FLOAT_ULPS."""
+    """Byte for byte on the corpus's versions; elsewhere the same layout, and floats within FLOAT_ULPS."""
     if _CORPUS["versions"] == _versions():
         assert got == expected
     else:
+        assert _mask(got) == _mask(expected)
         assert _close(_parse(got), _parse(expected))
 
 
@@ -137,6 +148,15 @@ def test_close_allows_a_few_ulps_only():
     assert not _close([1], [1.0])
     assert not _close({"a": 1}, {"b": 1})
     assert _parse("n,norm\n0,1.5\n") == [["n", "norm"], [0, 1.5], [""]]
+
+
+def test_other_versions_still_check_layout(monkeypatch):
+    text = json.dumps({"a": [0.1, -2e-05, 3], "b": "T1"}, indent=2)
+    monkeypatch.setitem(_CORPUS, "versions", {"python": "other"})
+    _assert_same_output(text.replace("0.1", "0.10000000000000002").replace("-2e-05", "-2.0000000000000003e-05"), text)
+    for changed in (text.replace("\n  ", "\n   "), text.replace(": ", ":"), json.dumps({"b": "T1", "a": [0.1, -2e-05, 3]}, indent=2)):
+        with pytest.raises(AssertionError):
+            _assert_same_output(changed, text)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

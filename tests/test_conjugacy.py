@@ -31,7 +31,6 @@ from shiftlab import (
     g_map,
     h_map,
     lp_norm,
-    map_to_dict,
     max_coord_diff,
     orbit_norms,
     random_vectors,
@@ -39,6 +38,7 @@ from shiftlab import (
     tail_power_sums,
 )
 from shiftlab import conjugacy
+from shiftlab.cli import _dumps
 from shiftlab.conjugacy import _residuals
 from shiftlab.seqspace import _Batch, _shift, _tails
 
@@ -263,6 +263,27 @@ def test_gstep_holds_q_as_a_float():
     assert st_.to_dict() == {"kind": "g", "p": 2.0, "q": 3.0}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HStep(0.5, 2.0),
+        lambda: DiagStep(0.5, 1j),
+        lambda: GStep(0.5, 2.0),
+        lambda: ConjugacyMap((), 0.5, 0.5),
+    ],
+    ids=["h", "diag", "g", "empty-map"],
+)
+def test_steps_and_maps_check_their_domain_exponent_when_built(build):
+    with pytest.raises(ValueError, match=r"^exponent must satisfy 1 <= p < inf, got 0\.5$"):
+        build()
+
+
+@pytest.mark.parametrize("step", [HStep(2, 3), GStep(2, 3), DiagStep(2, 1j)], ids=["h", "g", "diag"])
+def test_steps_hold_their_exponents_as_floats(step):
+    exponents = [getattr(step, name) for name in ("p", "q", "s") if hasattr(step, name)]
+    assert [type(e) for e in exponents] == [float] * len(exponents)
+
+
 def test_diagstep_rejects_zero_ratio():
     with pytest.raises(ValueError):
         DiagStep(2.0, 0)
@@ -324,8 +345,7 @@ def test_composite_inverse_roundtrip():
 
 def test_map_dict_roundtrip():
     phi = ConjugacyMap((DiagStep(1.0, -1 + 0j), HStep(1.0, 6.0), GStep(1.0, 3.0)), 1.0, 3.0)
-    d = map_to_dict(phi)
-    assert d == {
+    assert json.loads(_dumps(phi)) == {
         "domain_p": 1.0,
         "codomain_p": 3.0,
         "steps": [
@@ -334,7 +354,6 @@ def test_map_dict_roundtrip():
             {"kind": "g", "p": 1.0, "q": 3.0},
         ],
     }
-    assert json.loads(json.dumps(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +444,7 @@ def test_residual_report_structure_and_determinism():
     residuals = [lp_norm(subtract(phi.apply(apply_shift(s, x)), apply_shift(t, phi.apply(x)))) for x in random_vectors(30, 2.0, 9)]
     assert a.sample_count == 30
     assert a.max_residual == residuals[a.worst_index] == max(residuals)
-    assert a.to_dict()["seed"] == 9
+    assert json.loads(_dumps(a)) == {"max_residual": a.max_residual, "worst_index": a.worst_index, "sample_count": 30, "seed": 9}
     with pytest.raises(ValueError):
         conjugacy_residual(s, t, phi, samples=0)
 

@@ -29,6 +29,7 @@ from shiftlab import (
     orbit_norms,
 )
 from shiftlab import dynamics
+from shiftlab.cli import _dumps
 from shiftlab.dynamics import (
     Confidence,
     DynamicsLabel,
@@ -205,11 +206,11 @@ def test_classify_horizon_caps_explicit_evidence():
 
 def test_verdict_serializes_with_finite_and_infinite_scalars():
     v = classify(Constant(0.5), 2.0, horizon=100_000)
-    d = v.to_dict()
+    d = json.loads(_dumps(v))
     assert d["label"] == "NotTransitive"
     assert d["confidence"] == "Analytic"
+    assert d["horizon"] == 100_000
     assert d["evidence"]["partial_sum"] == "inf"  # sum of 2^(2n) over 1e5 terms
-    json.dumps(d)  # must stay strict-JSON serializable
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +650,7 @@ def test_orbit_norms_first_entry_is_start_norm():
     trace = orbit_norms(t, x, 10, point="example3:3")
     assert trace.norms[0] == lp_norm(x)
     assert trace.point == "example3:3"
-    assert trace.operator["p"] == 2.0
-    assert trace.operator["weights"]["kind"] == "blocks"
+    assert trace.operator == t
 
 
 def test_orbit_norms_validates():
@@ -781,17 +781,15 @@ def test_orbit_norms_overflowing_power_sum_stays_finite():
     assert norms[998] == pytest.approx(2.0**998 * 5.0, rel=1e-15)
 
 
-def test_orbit_trace_serialization_and_csv():
+def test_orbit_trace_renders_as_its_fields():
     t = ShiftOperator(Constant(2), 2.0)
     trace = orbit_norms(t, FinSeqVector(2.0, (1, 1)), 3)
-    d = trace.to_dict()
-    assert d["valid_horizon"] == 2
-    assert len(d["norms"]) == 4
-    json.dumps(d)
-    rows = trace.csv_rows()
-    assert rows[0] == ("n", "norm")
-    assert len(rows) == 5
-    assert rows[1] == ("0", repr(trace.norms[0]))
+    assert json.loads(_dumps(trace)) == {
+        "norms": list(trace.norms),
+        "valid_horizon": 2,
+        "operator": {"p": 2.0, "weights": {"kind": "constant", "value": [2.0, 0.0]}},
+        "point": "support:2",
+    }
 
 
 # ---------------------------------------------------------------------------
