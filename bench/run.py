@@ -114,6 +114,7 @@ def _kernels() -> dict:
         tail_power_sums,
     )
     from shiftlab.dynamics import beta_profile, horizon_evidence
+    from shiftlab.seqspace import _Batch, _random_parts, _tails
 
     def vector(n, p):
         return random_vectors(1, p, seed=n, support_range=(n, n))[0]
@@ -127,6 +128,10 @@ def _kernels() -> dict:
         return lambda samples: partial(conjugacy_residual, source, target, phi, samples=samples, seed=1)
 
     t1, t2, t3 = make_example("T1"), make_example("T2"), make_example("T3")
+
+    def tail_batch(samples):
+        # the samples of conjugacy_residual, drawn as it draws them, side by side on l^2
+        return partial(_tails, _Batch.of(2.0, list(_random_parts(samples, 1))))
 
     def evidence(w, p):
         return lambda n: partial(horizon_evidence, w, p, n)
@@ -142,6 +147,7 @@ def _kernels() -> dict:
     return {
         "seqspace.lp_norm": ((2048, 8192, 32768), on_vector(lp_norm, 3.0)),
         "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
+        "seqspace._tails[batch]": ((25, 100, 400), tail_batch),
         "conjugacy.h_map": ((512, 2048, 8192), on_vector(h_map, 2.0, 2.0)),
         "conjugacy.g_map": ((1024, 4096, 16384), on_vector(g_map, 2.0, 4.0)),
         "conjugacy.conjugacy_residual": ((25, 100, 400), residual(2.0, 2.0, 4.0, 3.0)),

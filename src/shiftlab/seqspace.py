@@ -3,10 +3,11 @@
 A vector here is an exact element of l^p: an exponent p >= 1 together with a
 finite tuple of complex coordinates (coordinate n is zero for n beyond the
 tuple).  Every norm and tail sum is therefore a finite sum over the support,
-correctly rounded (norms by ``math.fsum``, tails as exact integer sums
-rounded once), so the identities tested elsewhere hold up to floating-point
-rounding only; there is no series truncation error anywhere in this module.  ``check_exponent`` is the one
-place that decides 1 <= p < inf.
+correctly rounded (norms by ``math.fsum``; tails as double-double suffix
+sums, each certified to round correctly, or else summed exactly over
+integers), so the identities tested elsewhere hold up to floating-point
+rounding only; there is no series truncation error anywhere in this module.
+``check_exponent`` is the one place that decides 1 <= p < inf.
 
 Weight sequences come in four generator families:
 
@@ -255,20 +256,67 @@ def lp_norm(x: FinSeqVector) -> float:
     return _norms(_one(x).moduli(), [0, len(x.coords)], x.p)[0]
 
 
+def _cumsum_errors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.cumsum`` along each row of ``terms``, and the rounding error of each of its steps.
+
+    ``np.cumsum`` adds in sequence, and TwoSum gives the error of each
+    addition exactly, barring overflow (Knuth, TAOCP vol. 2, 4.2.2).  Every
+    row starts with a 0, whose step is exact.  The errors are written
+    over ``terms``: a large array costs more to allocate than to compute.
+    """
+    total = np.cumsum(terms, axis=1)
+    before, after, term = total[:, :-1], total[:, 1:], terms[:, 1:]
+    z = after - before
+    term -= z
+    term += np.subtract(before, np.subtract(after, z, out=z), out=z)
+    return total, terms
+
+
+def _row_tails(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix sum along each row of ``a``, which starts with a 0 column, and where it is certified.
+
+    s = cumsum(a) and its step errors e give each exact sum T = s + sum(e),
+    and c = cumsum(e) and its step errors e2 give sum(e) = c + sum(e2).  As
+    |c| < s, r = fl(s + c) and delta = c - (r - s) give s + c = r + delta
+    exactly (Dekker's Fast2Sum), so T - r = delta + sum(e2): the cascade of
+    Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26 (2005).  Where
+    D = cumsum(|e2|) is 0, T = s + c, and r rounds T correctly, ties
+    included.  Elsewhere sum |e2| <= D * (1 + gamma), gamma = w * 2**-50 for
+    rows of w lanes, which covers the rounding of D's cumsum and of that
+    product, and r is certified when |delta| + D * (1 + gamma) is below half
+    the smaller gap next to r: T then lies strictly inside r's rounding
+    interval.  So a lane is left uncertified only where the error bound
+    straddles a rounding boundary.  ``ok`` is False for a lane that is not
+    certified or not finite: from a power that is not finite on, or a
+    running sum s that overflows, every later lane of the row is nan or
+    inf.  ``a`` is overwritten.
+    """
+    s, e = _cumsum_errors(a)
+    c, e2 = _cumsum_errors(e)
+    d = np.cumsum(np.abs(e2, out=e2), axis=1, out=e2)
+    r = s + c
+    bound = np.abs(np.subtract(c, np.subtract(r, s, out=s), out=s), out=s)
+    below = (r.view(np.int64) - 1).view(np.float64)  # the float next below r, across the smaller gap
+    ok = (d == 0.0) | (bound + d * (1.0 + a.shape[1] * 2.0**-50) < (r - below) * 0.5)
+    return r, ok & (r < math.inf)
+
+
 def _tails(x: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The moduli |x_n|, the powers |x_n|**p and every tail power sum of each vector of ``x``.
 
-    The powers come from one ``np.float_power`` call.  ``np.frexp`` splits
-    each finite one into a 53-bit integer times a power of two, so over
-    2**-k, with k per vector from the least of its exponents or 1, every
-    power of the vector is an integer and ``accumulate`` sums them exactly
-    from the vector's end; a power that is not finite counts as 0 there.
-    Each sum is rounded once: by its conversion to float64, correctly
-    rounded as ``float(int)`` is, times 2**-k, which is exact while every
-    tail is a normal float and every sum is below 2**1023; otherwise by
-    ``int / int`` true division, also correctly rounded, which raises
-    ``OverflowError`` exactly when the tail rounds to inf.  So every tail
-    has the bits of ``math.fsum`` over its powers.
+    The powers come from one ``np.float_power`` call.  Each vector's powers,
+    from its last coordinate back, fill one row of a zero-padded array, and
+    ``_row_tails`` sums every row in double-double and certifies the sums
+    it rounds correctly.  Vectors of up to 64 lanes share one array, and
+    longer ones one per power of two of their length, so the padding is
+    less than the lanes plus 65 per vector.  The lanes left uncertified take
+    their tails from one exact pass over their vector: each power is a
+    53-bit integer times a power of two, so scaled by a power of two from
+    the least exponent in the vector every power is an integer, their
+    partial sums are exact, and int / int true division rounds each once,
+    whatever the order of its terms.  So every tail has the bits of
+    ``math.fsum`` over its powers, and the cost stays O(n) per vector
+    however many of its lanes are uncertified.
 
     The vectors are walked from the last one back, each from its last
     coordinate back, and the first failure met raises the ``RangeError``
@@ -278,38 +326,32 @@ def _tails(x: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = x.moduli()
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.float_power(m, x.p)
-    rev = powers[::-1]  # the lanes run from the last back, so the vectors do too
-    finite = np.isfinite(rev)
-    first_bad = len(rev) if finite.all() else int(np.argmin(finite))  # the first non-finite power the walk meets, if any
-    sizes = np.diff(x.bounds)[::-1]
-    rb = _bounds(sizes)
-    frac, exp = np.frexp(np.where(finite, rev, 0.0))
-    # k >= 0, since 53 counts in; the 53 appended only gives an empty vector a k
-    k = 53 - np.minimum(np.minimum.reduceat(np.append(exp, 53), rb[:-1]), 53)
-    ints = (frac * 2.0**53).astype(np.int64).tolist()  # power = ints * 2**(exp - 53), exactly
-    shifts = (exp + np.repeat(k - 53, sizes)).tolist()
-    sums: list = []
-    scales = []
-    rb = rb.tolist()
-    for lo, hi, kj in zip(rb, rb[1:], k.tolist()):
-        segment = list(accumulate(map(operator.lshift, ints[lo:hi], shifts[lo:hi])))
-        if kj <= 1022 and (not segment or segment[-1] < 1 << 1023):  # nonzero tails are then at least 2**-1022
-            scales.append(math.ldexp(1.0, -kj))
-        else:
-            scales.append(1.0)
-            denominator = 1 << kj
-            for j, t in enumerate(segment[: min(hi, first_bad) - lo]):  # from the last coordinate back
-                try:
-                    segment[j] = t / denominator
-                except OverflowError:
-                    raise RangeError(f"tail power sum from coordinate {hi - lo - j} is inf: it left float range") from None
-        if first_bad < hi:
-            lane = len(rev) - 1 - first_bad
-            if math.isfinite(x.re[lane]) and math.isfinite(x.im[lane]):  # |x_n| or its power is beyond float range
-                raise RangeError(f"|x_n|**p at coordinate {hi - first_bad} is beyond float range")
-            raise RangeError(f"tail power sum from coordinate {hi - first_bad} is {rev.item(first_bad) + math.inf!r}: it left float range")
-        sums += segment
-    tails = np.array(sums, dtype=np.float64) * np.repeat(scales, sizes)
+        rev, sizes = powers[::-1], np.diff(x.bounds)[::-1]  # the lanes run from the last back, so the vectors do too
+        tails, ok = np.empty_like(rev), np.empty(len(rev), dtype=bool)
+        group = np.frexp(np.maximum(sizes - 1, 63))[1]  # 6 up to 64 lanes, else the bit length of n - 1
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            lanes, n = np.repeat(group == g, sizes), sizes[group == g][:, None]
+            cells = np.arange(n.max() + 1) > n.max() - n  # each row ends with its lanes, after at least one 0
+            padded = np.zeros(cells.shape)
+            padded[cells] = rev[lanes]
+            r, good = _row_tails(padded)
+            tails[lanes], ok[lanes] = r[cells], good[cells]
+    rb, end, lanes = _bounds(sizes), 0, np.flatnonzero(~ok)
+    for j, power in zip(lanes.tolist(), rev[lanes].tolist()):  # in the walk's order
+        if j >= end:  # its vector rev[lo:end] in exact partial sums: a power is a 53-bit integer times 2**(e - 53)
+            lo, end = rb[np.searchsorted(rb, j, "right") - 1 :][:2].tolist()
+            frac, e = np.frexp(np.where(np.isfinite(rev[lo:end]), rev[lo:end], 0.0))  # a power that is not finite raises before any sum from it is read
+            scale = 1 << 53 - (least := min(int(e.min()), 53))  # times scale, every power is an integer
+            sums = list(accumulate(map(operator.lshift, (frac * 2.0**53).astype(np.int64).tolist(), (e - least).tolist())))
+        k = end - j  # the lane's coordinate in its vector
+        if not math.isfinite(power):
+            if math.isfinite(x.re[~j]) and math.isfinite(x.im[~j]):  # |x_n| or its power is beyond float range
+                raise RangeError(f"|x_n|**p at coordinate {k} is beyond float range")
+            raise RangeError(f"tail power sum from coordinate {k} is {power + math.inf!r}: it left float range")
+        try:
+            tails[j] = sums[j - lo] / scale  # int / int rounds correctly, and overflows exactly when the tail rounds to inf
+        except OverflowError:
+            raise RangeError(f"tail power sum from coordinate {k} is inf: it left float range") from None
     return m, powers, tails[::-1]
 
 
@@ -317,14 +359,16 @@ def tail_power_sums(x: FinSeqVector) -> list[float]:
     """All tail power sums of ``x``: entry i is sum_{n >= i+1} |x_n|^p.
 
     The list has length ``len(x.coords) + 1`` and ends with 0.0.  Each tail
-    is the exact sum of its powers, taken over integers, rounded once to the
-    nearest float, so it has the bits of ``math.fsum`` over its suffix
-    rather than the accumulated error of a running total.  The cost is
-    O(n) integer additions.  One walk, from the last coordinate to the
-    first, decides every error: the first power met that is not finite
-    raises ``RangeError`` naming its coordinate (``|x_n|**p ...`` when the
-    coordinate is finite, ``tail power sum ... is nan`` or ``inf`` when it
-    is not), as does the first tail beyond float range.
+    is its exact sum rounded once to the nearest float, so it has the bits
+    of ``math.fsum`` over its suffix rather than the accumulated error of a
+    running total: a double-double suffix sum whose error bound certifies
+    the rounding, or, for the few tails whose bound straddles a rounding
+    boundary, one exact integer pass over the vector.  The cost is O(n).  One
+    walk, from the last coordinate to the first, decides every error: the
+    first power met that is not finite raises ``RangeError`` naming its
+    coordinate (``|x_n|**p ...`` when the coordinate is finite, ``tail power
+    sum ... is nan`` or ``inf`` when it is not), as does the first tail
+    beyond float range.
     """
     return _tails(_one(x))[2].tolist() + [0.0]
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,7 @@ from shiftlab import (
     subtract,
     tail_power_sums,
 )
-from shiftlab import conjugacy
+from shiftlab import conjugacy, seqspace
 from shiftlab.cli import _dumps
 from shiftlab.conjugacy import _residuals
 from shiftlab.seqspace import _Batch, _shift, _tails
@@ -276,6 +277,14 @@ def test_gstep_holds_q_as_a_float():
 def test_steps_and_maps_check_their_domain_exponent_when_built(build):
     with pytest.raises(ValueError, match=r"^exponent must satisfy 1 <= p < inf, got 0\.5$"):
         build()
+
+
+def test_maps_check_and_hold_both_exponents_as_floats():
+    # the codomain is checked before the chain is compared with it
+    with pytest.raises(ValueError, match=r"^exponent must satisfy 1 <= p < inf, got 0\.5$"):
+        ConjugacyMap((), 2.0, 0.5)
+    text = _dumps(ConjugacyMap((HStep(2, 2),), 2, 2))
+    assert '"codomain_p": 2.0' in text and '"domain_p": 2.0' in text
 
 
 @pytest.mark.parametrize("step", [HStep(2, 3), GStep(2, 3), DiagStep(2, 1j)], ids=["h", "g", "diag"])
@@ -544,7 +553,13 @@ def test_decision_agrees_with_builder(ml, mo, p, q):
 
 
 def _ref_tails(coords, p):
-    """Per-suffix fsums, walking from the last coordinate: the first power or tail out of range raises."""
+    """Per-suffix fsums, walking from the last coordinate: the first power or tail out of range raises.
+
+    Each suffix is summed in coordinate order, as ``_suffix_fsums`` in
+    test_seqspace.py sums it: ``math.fsum`` raises an intermediate overflow
+    for (1.5 * 2**969, M/2, M/2), M the largest float, but not for
+    (M/2, M/2, 1.5 * 2**969), whose exact sum rounds down to M.
+    """
     powers, tails = [], [0.0]
     for k in range(len(coords), 0, -1):
         try:
@@ -552,12 +567,100 @@ def _ref_tails(coords, p):
         except OverflowError:
             raise RangeError(f"|x_n|**p at coordinate {k} is beyond float range") from None
         try:
-            tails.append(math.fsum(powers))
+            tails.append(math.fsum(reversed(powers)))
         except OverflowError:
             tails.append(math.inf)
         if tails[-1] == math.inf:
             raise RangeError(f"tail power sum from coordinate {k} is inf: it left float range")
     return tails[::-1]
+
+
+def _ref_outcome(f):
+    try:
+        return f()
+    except RangeError as e:
+        return str(e)
+
+
+@st.composite
+def tail_batches(draw):
+    """An exponent and up to four vectors of 0 to 4,100 coordinates, each of one kind.
+
+    The lengths cross the 64-lane cut and powers of two, where ``_tails``
+    groups its rows.
+    """
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, 3.7]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = st.one_of(st.integers(min_value=0, max_value=130), st.integers(min_value=0, max_value=4100))
+    kind = st.sampled_from(["box", "equal", "subnormal", "wide", "near max", "beyond"])
+    vectors = []
+    for n, k in draw(st.lists(st.tuples(size, kind), min_size=1, max_size=4)):
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        if k == "box":
+            v = rng.uniform(-10.0, 10.0, n) + 1j * rng.uniform(-10.0, 10.0, n)
+        elif k == "equal":  # equal powers: many tails lie exactly halfway between two floats
+            v = rng.choice([1, -1, 1j, -1j], n) * rng.choice([0.1, 0.3, 3.0, 7.0])
+        elif k == "subnormal":  # powers from the least subnormal up to the least normal float
+            v = phase * 10.0 ** (rng.uniform(-323.5, -307.7, n) / p)
+        elif k == "wide":  # powers from 1e-300 to 1e300
+            v = phase * 10.0 ** (rng.uniform(-300.0, 300.0, n) / p)
+        elif k == "near max":  # powers up to 1 with subnormals, then tails that round down to the largest float or overflow
+            top = np.array([sys.float_info.max / 2, sys.float_info.max / 2, 1.5 * 2.0**969]) ** (1 / p)
+            v = np.append(10.0 ** (rng.uniform(-323.0, 0.0, max(n - 3, 0)) / p), top[: min(n, 3)])
+        else:  # one coordinate that is inf, or whose power or modulus is beyond float range
+            v = rng.uniform(-10.0, 10.0, n).astype(complex)
+            if n:
+                v[rng.integers(n)] = [math.inf, 1e200, complex(1.5e308, 1.5e308)][rng.integers(3)]
+        vectors.append([complex(c) for c in v])
+    return p, vectors
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tail_batches())
+def test_batch_tails_match_per_suffix_fsums_and_the_walk_s_first_error(batch):
+    p, vectors = batch
+    # the walk goes from the last vector back, and the first that fails raises
+    refs = [_ref_outcome(lambda: _ref_tails(coords, p)[:-1]) for coords in vectors]
+    errors = [r for r in refs if isinstance(r, str)]
+    want = errors[-1] if errors else [t.hex() for r in refs for t in r]
+    got = _ref_outcome(lambda: [t.hex() for t in _tails(_Batch.of(p, _parts(*vectors)))[2].tolist()])
+    assert got == want
+
+
+def test_a_tail_whose_bound_straddles_a_midpoint_is_summed_exactly():
+    # the walk meets 1.0 first and then powers summing to 2**-53 + 2**-110,
+    # just above the midpoint of 1 and 1 + 2**-52: fl(s + c) is 1.0, and
+    # the rounding errors of c's own sum (D > 0) exceed that margin, so the
+    # lane is not certified and only the exact pass gives 1 + 2**-52
+    tiny = [2.0**-60 + (3 if j % 2 else -3) * 2.0**-110 for j in range(128)] + [2.0**-110]
+    coords = tiny + [1.0]
+    assert math.fsum(coords) == 1.0 + 2.0**-52
+    row = np.array([[0.0] + coords[::-1]])
+    r, ok = seqspace._row_tails(row)
+    assert r[0, -1] == 1.0 and not ok[0, -1]
+    tails = _tails(_Batch.of(1.0, _parts(coords)))[2]
+    assert tails[0] == 1.0 + 2.0**-52
+    assert [t.hex() for t in tails.tolist()] == [t.hex() for t in _ref_tails(coords, 1.0)[:-1]]
+
+
+def test_a_running_sum_that_overflows_near_the_largest_float_still_rounds_exactly():
+    # the walk meets 1.5 * 2**969, then M/2 twice: the running float sum
+    # reaches M + 2**970, a tie that rounds to inf, and so does fsum in the
+    # walk's order, while the exact tail M + 1.5 * 2**969 rounds down to M;
+    # the tails from 2**960 and 1.0 stay below the midpoint, and 2**969
+    # more crosses it
+    half = sys.float_info.max / 2
+    coords = [1.0, 2.0**960, half, half, 1.5 * 2.0**969]
+    with pytest.raises(OverflowError):
+        math.fsum(coords[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, ok = seqspace._row_tails(np.array([[0.0] + coords[::-1]]))
+    assert not np.isfinite(r[0, 3:]).any() and not ok[0, 3:].any()
+    tails = _tails(_Batch.of(1.0, _parts(coords)))[2].tolist()
+    assert tails == [sys.float_info.max] * 3 + [2.0**1023, 1.5 * 2.0**969]
+    assert [t.hex() for t in tails] == [t.hex() for t in _ref_tails(coords, 1.0)[:-1]]
+    with pytest.raises(RangeError, match=r"^tail power sum from coordinate 1 is inf: it left float range$"):
+        _tails(_Batch.of(1.0, _parts([2.0**969] + coords)))
 
 
 def _ref_pow_diff(a, b, d, s):
@@ -721,20 +824,24 @@ def test_the_error_of_a_batch_is_the_first_sample_s_lhs_before_rhs():
         _residuals(source, target, phi, samples)
 
 
-def test_tail_integers_are_as_short_as_each_vector_needs():
-    # a vector of ordinary powers beside one whose power is the least
-    # subnormal: a least exponent k for the whole batch would make every
-    # integer of the first about a thousand bits long
+def test_tail_padding_stays_within_each_vector_s_length_class():
+    # a vector of ordinary powers beside a one-lane vector whose power is the
+    # least subnormal: in one array padded to the longest vector, the short
+    # vector's row would be as long as the other's and double the memory
     ordinary = np.linspace(1.0, 2.0, 20_000)
     alone, beside = _tail_peak(ordinary, [0, 20_000]), _tail_peak(np.append(ordinary, 5e-324), [0, 20_000, 20_001])
     assert beside < 1.5 * alone
 
 
 def _tail_peak(powers, bounds):
-    # a p = 1 batch whose real parts are the powers: float_power(m, 1.0) is m
+    # a p = 1 batch whose real parts are the powers: float_power(m, 1.0) is m;
+    # it runs once untraced, so that what numpy allocates on first use is
+    # not counted
+    x = _Batch(1.0, powers, np.zeros_like(powers), np.array(bounds))
+    _tails(x)
     tracemalloc.start()
     try:
-        _tails(_Batch(1.0, powers, np.zeros_like(powers), np.array(bounds)))
+        _tails(x)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
