@@ -45,8 +45,9 @@ range, 2 inconclusive verdict or residual over tolerance, 3 conjugacy class
 mismatch.  Output is JSON with a stable key order that records the
 command, its config, the seed and the library version; ``orbit --format
 csv`` writes the trace rows alone, without seed or version.  ``--seed``
-must be >= 0.  ``--config FILE`` loads flag values, including optionally
-the command name, from a JSON object; explicit flags override.
+must be >= 0.  ``--config FILE`` (or ``--config=FILE``) loads flag values,
+including optionally the command name, from a JSON object; explicit flags
+override.
 """
 
 from __future__ import annotations
@@ -447,6 +448,7 @@ def _build_parser() -> _Parser:
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Fold a --config JSON file into flag form; explicit flags override it."""
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

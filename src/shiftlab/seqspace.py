@@ -307,9 +307,9 @@ def _tails(x: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The powers come from one ``np.float_power`` call.  Each vector's powers,
     from its last coordinate back, fill one row of a zero-padded array, and
     ``_row_tails`` sums every row in double-double and certifies the sums
-    it rounds correctly.  Vectors of up to 64 lanes share one array, and
-    longer ones one per power of two of their length, so the padding is
-    less than the lanes plus 65 per vector.  The lanes left uncertified take
+    it rounds correctly.  All vectors share one array, as wide as the longest
+    plus the leading 0 column: every batch a caller builds is one vector, or
+    residual samples of at most 64 lanes each.  The lanes left uncertified take
     their tails from one exact pass over their vector: each power is a
     53-bit integer times a power of two, so scaled by a power of two from
     the least exponent in the vector every power is an integer, their
@@ -327,15 +327,11 @@ def _tails(x: _Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.float_power(m, x.p)
         rev, sizes = powers[::-1], np.diff(x.bounds)[::-1]  # the lanes run from the last back, so the vectors do too
-        tails, ok = np.empty_like(rev), np.empty(len(rev), dtype=bool)
-        group = np.frexp(np.maximum(sizes - 1, 63))[1]  # 6 up to 64 lanes, else the bit length of n - 1
-        for g in np.flatnonzero(np.bincount(group)).tolist():
-            lanes, n = np.repeat(group == g, sizes), sizes[group == g][:, None]
-            cells = np.arange(n.max() + 1) > n.max() - n  # each row ends with its lanes, after at least one 0
-            padded = np.zeros(cells.shape)
-            padded[cells] = rev[lanes]
-            r, good = _row_tails(padded)
-            tails[lanes], ok[lanes] = r[cells], good[cells]
+        n = sizes.max()
+        cells = np.arange(n + 1) > n - sizes[:, None]  # each row ends with its lanes, after at least one 0
+        padded = np.zeros(cells.shape)
+        padded[cells] = rev
+        tails, ok = (a[cells] for a in _row_tails(padded))
     rb, end, lanes = _bounds(sizes), 0, np.flatnonzero(~ok)
     for j, power in zip(lanes.tolist(), rev[lanes].tolist()):  # in the walk's order
         if j >= end:  # its vector rev[lo:end] in exact partial sums: a power is a 53-bit integer times 2**(e - 53)

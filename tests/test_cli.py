@@ -437,10 +437,11 @@ def test_apply_map_missing_file(capsys, tmp_path):
 def test_config_file_supplies_command_and_flags(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "classify", "weights": "example:T1", "horizon": 1000}))
-    code, doc = run_json(capsys, "--config", str(cfg))
-    assert code == 0
-    assert doc["result"]["label"] == "MixingNotChaotic"
-    assert doc["result"]["horizon"] == 1000
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"], ["classify", f"--config={cfg}"]):
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["result"]["label"] == "MixingNotChaotic"
+        assert doc["result"]["horizon"] == 1000
 
 
 def test_explicit_flags_override_config(capsys, tmp_path):
