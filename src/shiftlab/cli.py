@@ -23,8 +23,9 @@ anywhere (``--p``, ``:<p>``, a vector file's ``p``) must satisfy
 1 <= p < inf.  Point descriptors for ``orbit``: ``e<k>`` (basis vector),
 ``example3:<K>``, ``box:<L>`` (seeded random vector with support L), or
 ``escape`` (the basis-vector escape demo; requires a constant operator).
-Values that start with a dash (negative weights) must use the
-``--flag=value`` form, e.g. ``--g=-1:4``.
+On the command line, values that start with a dash (negative weights)
+must use the ``--flag=value`` form, e.g. ``--g=-1:4``; a config file's
+entries are folded into that form, so their values may start with a dash.
 
 A vector file for ``apply-map`` holds one JSON object: ``p`` is a number or
 numeric string with 1 <= p < inf, and ``coords`` is a list whose entries
@@ -47,7 +48,8 @@ command, its config, the seed and the library version; ``orbit --format
 csv`` writes the trace rows alone, without seed or version.  ``--seed``
 must be >= 0.  ``--config FILE`` (or ``--config=FILE``) loads flag values,
 including optionally the command name, from a JSON object; explicit flags
-override.
+override.  Each entry folds into one flag: ``true`` is the bare ``--key``,
+``false`` is left out, and any other value is ``--key=value``.
 """
 
 from __future__ import annotations
@@ -127,10 +129,8 @@ def _parse_scalar(token: str) -> complex:
     """A complex scalar written as <re> or <re,im>."""
     parts = token.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:  # complex(re) has imaginary part +0.0, as complex(re, 0.0) does
+            return complex(*map(float, parts))
     except ValueError:
         pass
     raise ValueError(f"cannot parse scalar {token!r}; expected <re> or <re,im>")
@@ -447,7 +447,11 @@ def _build_parser() -> _Parser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Fold a --config JSON file into flag form; explicit flags override it."""
+    """Fold a --config JSON file into flag form; explicit flags override it.
+
+    An entry ``true`` is the bare switch ``--key``, ``false`` is left out,
+    and any other value is the one token ``--key=value``.
+    """
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
@@ -460,14 +464,9 @@ def _expand_config(argv: list[str]) -> list[str]:
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     command = cfg.pop("command", None)
-    tokens: list[str] = []
-    for key, value in cfg.items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                tokens.append(flag)
-        else:
-            tokens.extend([flag, str(value)])
+    # one token per entry, so a value that starts with a dash stays a value
+    tokens = ["--" + str(key).replace("_", "-") + ("" if value is True else f"={value}")
+              for key, value in cfg.items() if value is not False]
     if rest and not rest[0].startswith("-"):
         return [rest[0]] + tokens + rest[1:]
     if command is None:

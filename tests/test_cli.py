@@ -13,7 +13,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
@@ -706,24 +706,36 @@ _VECTOR = st.fixed_dictionaries(
 
 
 @st.composite
-def _invocation(draw):
-    """An argv for one subcommand, and the JSON files it reads, by name."""
+def _flags(draw):
+    """A subcommand, its (flag, value) pairs, and the JSON files it reads, by name."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = [pair for group in draw(_FLAGS[command]) for pair in group]
     files = {"vec.json": draw(_VECTOR | _JSON)} if command == "apply-map" else {}
-    argv = [command] + [name if value is True else f"{name}={value}" for name, value in flags]
+    return command, flags, files
+
+
+def _argv(command, flags):
+    return [command] + [name if value is True else f"{name}={value}" for name, value in flags]
+
+
+def _config(command, flags):
+    return {"command": command, **{name[2:]: value for name, value in flags}}
+
+
+@st.composite
+def _invocation(draw):
+    """An argv for one subcommand, and the JSON files it reads, by name."""
+    command, flags, files = draw(_flags())
+    argv = _argv(command, flags)
     how = draw(st.sampled_from(["argv", "argv", "argv", "config", "any config"]))
     if how != "argv":  # the same flags, or any JSON at all, from a --config file
-        config = {"command": command, **{name[2:]: value for name, value in flags}}
-        files["cfg.json"] = config if how == "config" else draw(_JSON)
+        files["cfg.json"] = _config(command, flags) if how == "config" else draw(_JSON)
         argv = ["--config", "cfg.json"]
     return argv, files
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_invocation())
-def test_cli_gives_an_answer_or_an_error_line_for_every_input(invocation):
-    argv, files = invocation
+def _run_in(files, argv):
+    """``main(argv)`` run in a fresh directory holding ``files``: exit code, stdout, stderr and the warnings raised."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -738,12 +750,30 @@ def test_cli_gives_an_answer_or_an_error_line_for_every_input(invocation):
                     code = main(argv)
         finally:
             os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_invocation())
+def test_cli_gives_an_answer_or_an_error_line_for_every_input(invocation):
+    argv, files = invocation
+    code, out, err, raw = _run_in(files, argv)
     assert code in (0, 1, 2, 3)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not raw
     if code == 1:
-        assert err.getvalue().startswith("error: ")
-    if out.getvalue().startswith("{"):
-        json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"bare {token} in the JSON output"))
+        assert err.startswith("error: ")
+    if out.startswith("{"):
+        json.loads(out, parse_constant=lambda token: pytest.fail(f"bare {token} in the JSON output"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_flags())
+@example(("conjugate-check", [("--f", "2:2"), ("--g", "-4:2")], {}))  # a dash-leading value
+def test_a_config_file_gives_what_its_flags_give(drawn):
+    command, flags, files = drawn
+    by_flags = _run_in(files, _argv(command, flags))
+    by_config = _run_in({**files, "cfg.json": _config(command, flags)}, ["--config", "cfg.json"])
+    assert by_config[:3] == by_flags[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -800,16 +830,6 @@ def test_apply_map_matches_the_one_vector_oracle(doc, chosen, roundtrip):
     else:
         flag = f"--{kind}={'s' if kind == 'h' else 'q'}={param!r}"
     argv = ["apply-map", flag, "--in", "vec.json"] + (["--roundtrip"] if roundtrip else [])
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "vec.json"), "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        os.chdir(tmp)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
-    assert (code, out.getvalue(), err.getvalue()) == _oracle(doc, kind, param, roundtrip)
+    code, out, err, raw = _run_in({"vec.json": doc}, argv)
+    assert not raw
+    assert (code, out, err) == _oracle(doc, kind, param, roundtrip)
