@@ -203,7 +203,7 @@ def _slope(sizes, values) -> float:
 
 def _run_cli(argv: list[str]) -> tuple[float, float]:
     """Wall time in ms and ru_maxrss in MB of one CLI run in a fresh interpreter."""
-    code, wall, mb, err = spawn(argv)
+    code, wall, mb, err, _ = spawn(argv)
     if code != 0:
         raise SystemExit(f"shiftlab {' '.join(argv)} exited {code}: {err.strip()}")
     return wall * 1e3, mb

@@ -174,22 +174,24 @@ def beta_profile(w: WeightSequence, n: int) -> np.ndarray:
 # The streamed pairwise sums take ranges of at most _LEAF terms as leaves,
 # each summed by one np.sum call; the terms are computed in chunks of that
 # many, so the rolling buffer of terms in flight holds twice that size.
+# Any _LEAF of 128 or more gives the same bits: each leaf is a node of numpy's tree.
 def _tree(lo: int, hi: int, whole: int):
     """The tree along which ``np.sum`` adds the float64 terms lo..hi-1, as a generator.
 
     It mirrors numpy's ``pairwise_sum`` for one contiguous array: a range
     of more than 128 terms splits after n//2 terms rounded down to a
-    multiple of 8, and its sum is left + right.  Here a range of at most
-    _LEAF terms, or one that starts at or after ``whole``, is a leaf: the
-    generator yields (lo, hi) and takes that range's sum by ``send``.  A
-    leaf is a node of numpy's tree, which ``np.sum`` of the leaf alone
-    walks the same way, so sending each leaf's ``np.sum`` gives the bits
-    of ``np.sum`` over the whole range, the total that the generator
-    returns.  Leaves come in rising order, and the recursion is
-    O(log((hi - lo) / _LEAF)) deep.
+    multiple of 8, and its sum is left + right.  Here a range is a leaf
+    when it starts at or after ``whole``, or has at most _LEAF terms and
+    ends by ``whole``, or has at most 128 terms, numpy's base case, so a
+    leaf that straddles ``whole`` is short.  The generator yields (lo, hi)
+    and takes that range's sum by ``send``.  A leaf is a node of numpy's
+    tree, which ``np.sum`` of the leaf alone walks the same way, so
+    sending each leaf's ``np.sum`` gives the bits of ``np.sum`` over the
+    whole range, the total that the generator returns.  Leaves come in
+    rising order, and the recursion is O(log((hi - lo) / 128)) deep.
     """
     n = hi - lo
-    if n <= _LEAF or lo >= whole:
+    if lo >= whole or n <= (_LEAF if hi <= whole else 128):
         return (yield lo, hi)
     half = n // 2 - n // 2 % 8
     left = yield from _tree(lo, lo + half, whole)
@@ -270,14 +272,19 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
     ``_saturated_suffix`` first finds an n0 from which every term is 0.0,
     or every one inf.  Each start's ``_tree`` yields a node from n0 on as
     one leaf, and its sum is that value, which is also what ``np.sum``
-    gives over its terms, so no term there is computed; a start equal to
+    gives over its terms, so no term there is computed but those of the
+    one leaf, of at most 128 terms, that straddles n0; a start equal to
     the horizon is one empty leaf, whose sum is 0.0.  The trees ask for
     their other leaves in one rising sweep: the pending leaf with the
-    lowest start is served first.  A rolling buffer of 2 * _LEAF terms
+    lowest start is served first.  One rolling buffer of 2 * _LEAF terms
     holds those from the lowest leaf in flight on.  When a leaf runs past
-    its end, up to the next _LEAF terms before n0 are computed into it from
-    one ``log_abs_profile`` chunk, so each term is computed once and the
-    sweep makes about n0 / _LEAF profile calls.  Each chunk's exp goes
+    its end, up to the next _LEAF terms before n0 are computed into it:
+    ``log_abs_profile`` writes the chunk into a view of the buffer, which
+    is then scaled by -p in place, so each term is computed once, the
+    sweep makes about n0 / _LEAF profile calls, and a chunk allocates no
+    array.  A fresh array per chunk would cost more than the chunk size
+    saves: at 256 KiB it is above glibc's 128 KiB mmap threshold, so
+    every chunk would fault in fresh pages.  Each chunk's exp goes
     through ``_exp_in_place``, which writes the bits of ``np.exp`` but
     keeps saturated lanes out of it.  Each leaf's sum is sent to its tree,
     which adds it in numpy's order and returns the start's total when its
@@ -297,10 +304,10 @@ def _chaos_sums(w: WeightSequence, p: float, horizon: int, starts: tuple[int, ..
                 start = max(lo, buf_lo + size)
                 keep = start - lo
                 buf[:keep] = buf[lo - buf_lo : size]
-                profile = w.log_abs_profile(start, max(hi, min(start + _LEAF, n0)))
-                buf_lo, size = lo, keep + len(profile)
-                terms = buf[keep:size]
-                np.multiply(profile, -p, out=terms)
+                end = max(hi, min(start + _LEAF, n0))
+                buf_lo, size = lo, keep + end - start
+                terms = w.log_abs_profile(start, end, out=buf[keep:size])
+                terms *= -p
                 _exp_in_place(terms)
             try:
                 asks[i] = trees[i].send(0.0 if lo == hi else known if lo >= n0 else float(buf[lo - buf_lo : hi - buf_lo].sum()))
@@ -313,19 +320,22 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
     """Compute the scalar diagnostics of the profile of ``w`` up to ``horizon``.
 
     The profile is never built whole.  The two sums of exp(-p * profile)
-    share one sweep over it in chunks of _LEAF terms, under one
+    share one sweep over it in chunks of _LEAF (32,768) terms, under one
     ``np.errstate``, and each adds its leaves along ``_tree``, the
-    recursion ``np.sum`` follows.  The head and tail windows are
-    isqrt(horizon) long and built one at a time, so memory is
-    O(_LEAF + isqrt(horizon)) where the full profile took O(horizon).  The
-    bits are those of the full-array computation: each chunk of
-    ``log_abs_profile`` has the bits of the same slice of ``beta_profile``,
-    the terms are elementwise, and both sums add their terms along the tree
-    ``np.sum`` walks over the whole array.  For every family but the power
-    law most terms are exactly 0.0 or inf.  Where all are from some n0 on,
-    ``log_abs_bounds`` finds that suffix in O(log horizon) calls and the
-    sums take each tree node inside it as its one value, so the sweep is
-    O(n0 + log horizon), not O(horizon).  Before n0, where ``np.exp`` is
+    recursion ``np.sum`` follows.  Every chunk is written into one buffer
+    of 2 * _LEAF terms, so the sweep allocates, and faults in, no fresh
+    pages per chunk.  The head and tail windows are isqrt(horizon) long
+    and built one at a time, so memory is O(_LEAF + isqrt(horizon)) where
+    the full profile took O(horizon).  The bits are those of the
+    full-array computation: each chunk of ``log_abs_profile`` has the bits
+    of the same slice of ``beta_profile``, whether or not it is written
+    into the buffer, the terms are elementwise, and both sums add their
+    terms along the tree ``np.sum`` walks over the whole array.  For every
+    family but the power law most terms are exactly 0.0 or inf.  Where all
+    are from some n0 on, ``log_abs_bounds`` finds that suffix in
+    O(log horizon) calls and the sums take each tree node inside it as its
+    one value, so the sweep is O(n0 + log horizon), not O(horizon).
+    Before n0, where ``np.exp`` is
     3-100 times slower per saturated lane, a chunk with an end below -750
     runs ``np.exp`` only on its lanes at or above -750 and gives the rest
     0.0, and a chunk whose terms are all above 710 is filled with inf, the

@@ -20,8 +20,14 @@ Each family is one class with the same five methods, over the half-open
 index range lo < n <= hi (0 <= lo <= hi):
 
 * ``weight_range(lo, hi)``     the weights w_n, as a complex128 array
-* ``log_abs_profile(lo, hi)``  log |beta(n)| with beta(n) = w_1 * ... * w_n,
-                               as a float64 array that never overflows
+* ``log_abs_profile(lo, hi, out=None)``
+                               log |beta(n)| with beta(n) = w_1 * ... * w_n,
+                               as a float64 array that never overflows,
+                               written into ``out`` (hi - lo float64
+                               entries) when given, with the same bits;
+                               the chaos sweep in ``dynamics`` passes views
+                               of its one buffer, so its chunks allocate
+                               no array and fault in no fresh pages
 * ``log_abs_bounds(lo, hi)``   (low, high) with low <= every entry of
                                ``log_abs_profile(lo, hi)`` <= high, for
                                lo < hi; they may be loose, and cost O(1)
@@ -124,6 +130,14 @@ class FinSeqVector:
         object.__setattr__(self, "p", check_exponent(self.p))
         object.__setattr__(self, "coords", tuple(map(complex, self.coords)))
 
+    @classmethod
+    def _of(cls, p: float, coords: tuple[complex, ...]) -> "FinSeqVector":
+        """The vector of a checked exponent and a tuple of Python complexes, taken as they are."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "p", p)
+        object.__setattr__(x, "coords", coords)
+        return x
+
 
 @dataclass(frozen=True, slots=True)
 class _Batch:
@@ -154,8 +168,8 @@ class _Batch:
     def vectors(self) -> list[FinSeqVector]:
         c = np.empty(len(self.re), dtype=np.complex128)
         c.real, c.imag = self.re, self.im
-        coords, b = c.tolist(), self.bounds.tolist()
-        return [FinSeqVector(self.p, coords[lo:hi]) for lo, hi in zip(b, b[1:])]
+        coords, b = tuple(c.tolist()), self.bounds.tolist()
+        return [FinSeqVector._of(self.p, coords[lo:hi]) for lo, hi in zip(b, b[1:])]
 
     def moduli(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # finite parts whose modulus is beyond float range: inf
@@ -426,8 +440,9 @@ class Constant:
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
         return np.full(hi - lo, self.value, dtype=np.complex128)
 
-    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
-        return np.arange(lo + 1, hi + 1, dtype=np.float64) * math.log(abs(self.value))
+    def log_abs_profile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        x = _positions(lo, hi, out)
+        return np.multiply(x, math.log(abs(self.value)), out=x)
 
     def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
         # fl(n * v) is monotone in n, so the ends give the extrema, exactly
@@ -481,8 +496,8 @@ class Explicit:
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
         return self._range(self._array, lo, hi).copy()
 
-    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
-        return self._range(self._log_abs, lo, hi).copy()
+    def log_abs_profile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate((self._range(self._log_abs, lo, hi),), out=out)  # a copy, into out when given
 
     def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
         part = self._range(self._log_abs, lo, hi)
@@ -495,11 +510,29 @@ class Explicit:
         return {"kind": "explicit", "weights": self._array.view(np.float64).reshape(-1, 2).tolist()}
 
 
-# Long ranges are built in pieces of at most this many positions, so the
-# memory beyond the output does not grow with the range: block profiles
-# here, and the streamed chaos sums in ``dynamics``, whose leaves are ranges
-# of at most this many terms.
-_LEAF = 1 << 13
+# The streamed chaos sums in ``dynamics`` ask for profile chunks of at most
+# _LEAF terms, the leaves of their sums, each written into their one buffer.
+_LEAF = 1 << 15
+
+# Positions are built, and block profiles rewritten, in pieces of _PIECE, so
+# _STEPS and each temporary of ``_block_counts`` are 64 KiB: below glibc's
+# 128 KiB mmap threshold, they live on the heap and reuse its pages instead
+# of faulting in fresh ones, and importing this module maps no pages.
+_PIECE = 1 << 13
+_STEPS = np.arange(1.0, _PIECE + 1.0)
+
+
+def _positions(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The positions lo+1..hi as float64, exact below 2**53, written into ``out`` when given.
+
+    These are the bits of ``np.arange(lo + 1, hi + 1, dtype=np.float64)``,
+    built as _STEPS plus a shift in pieces of _PIECE, so a given ``out``
+    is the only array written.
+    """
+    out = np.empty(hi - lo) if out is None else out
+    for start in range(0, hi - lo, _PIECE):
+        np.add(_STEPS[: min(_PIECE, hi - lo - start)], lo + start, out=out[start : start + _PIECE])
+    return out
 
 
 def _block_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -513,8 +546,8 @@ def _block_counts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first-block ones, and |d| first-block positions are left over.  ``n`` is
     overwritten with d, so three float64 arrays of its length are alive at
     once, and for one step a boolean mask.  ``log_abs_profile`` passes it
-    pieces of _LEAF positions of its output, so there that is three arrays
-    per piece, one of them the piece itself.
+    pieces of _PIECE positions of its output, so there that is three
+    arrays per piece, one of them the piece itself.
     """
     k = n - 1.0
     np.sqrt(k, out=k)
@@ -553,10 +586,10 @@ class BalancedBlocks:
         return self.b if self.a_first else self.a
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
-        d = _block_counts(np.arange(lo + 1, hi + 1, dtype=np.float64))[2]
+        d = _block_counts(_positions(lo, hi))[2]
         return np.where(d <= 0.0, self.second, self.first)
 
-    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+    def log_abs_profile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """log |beta(n)| for lo < n <= hi: shared * log|first * second| + excess * log|first|.
 
         Up to any n there are never more second-block positions than
@@ -566,15 +599,16 @@ class BalancedBlocks:
         errors.  Both counts come from the closed form of ``_block_counts``,
         exact for n <= 2**52, and the two products and the sum are taken in
         its arrays, so every entry has the bits of the same two products and
-        one sum formed position by position.  The output starts as the
-        positions and ``_block_counts`` takes it in pieces of _LEAF, each
-        overwritten with its excess counts and then its entries, so the
-        memory beyond the output is that of one piece.
+        one sum formed position by position.  The output, or ``out`` when
+        given, starts as the positions and ``_block_counts`` takes it in
+        pieces of _PIECE, each overwritten with its excess counts and
+        then its entries, so the memory beyond the output is that of one
+        piece, 64 KiB per temporary.
         """
         la, lm = self._logs()
-        out = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        for start in range(0, hi - lo, _LEAF):
-            _, shared, excess = _block_counts(out[start : start + _LEAF])
+        out = _positions(lo, hi, out)
+        for start in range(0, hi - lo, _PIECE):
+            _, shared, excess = _block_counts(out[start : start + _PIECE])
             np.abs(excess, out=excess)
             shared *= lm
             excess *= la
@@ -641,9 +675,10 @@ class PowerLawBeta:
             raise RangeError(f"weight w_{n} = ({n}/{n - 1})**{self.alpha!r} is beyond float range") from None
         return np.array(ws, dtype=np.complex128)
 
-    def log_abs_profile(self, lo: int, hi: int) -> np.ndarray:
+    def log_abs_profile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        x = _positions(lo, hi, out)
         with np.errstate(over="ignore"):  # |alpha| * log(n) beyond float range saturates to +-inf
-            return self.alpha * np.log(np.arange(lo + 1, hi + 1, dtype=np.float64))
+            return np.multiply(np.log(x, out=x), self.alpha, out=x)
 
     def log_abs_bounds(self, lo: int, hi: int) -> tuple[float, float]:
         # np.log is within a few ulps of math.log, and log(n) >= 0, so the

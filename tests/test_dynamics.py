@@ -342,7 +342,9 @@ def test_a_saturated_suffix_costs_no_profile_lanes(w, monkeypatch):
     horizon = 10**9
     asked = []
     profile = type(w).log_abs_profile
-    monkeypatch.setattr(type(w), "log_abs_profile", lambda self, lo, hi: asked.append(hi - lo) or profile(self, lo, hi))
+    monkeypatch.setattr(
+        type(w), "log_abs_profile", lambda self, lo, hi, out=None: asked.append(hi - lo) or profile(self, lo, hi, out)
+    )
     n0, known = dynamics._saturated_suffix(w, 2.0, horizon)
     ev = horizon_evidence(w, 2.0, horizon)
     # the two windows, and the terms up to n0 in chunks of _LEAF or less
@@ -361,7 +363,7 @@ _EDGES = [
 
 
 def _chunk(kind):
-    """8,192 terms for _exp_in_place, each kind aimed at one of its routes."""
+    """_LEAF terms for _exp_in_place, each kind aimed at one of its routes."""
     rng = np.random.default_rng(len(kind))
     n = _LEAF
     if kind.startswith("below"):
@@ -443,7 +445,8 @@ _SUM_FAMILIES = [
     BalancedBlocks(0.5, 2.0, a_first=True),
     Constant(2.0),
     Constant(0.5),
-    Explicit(tuple(np.random.default_rng(5).uniform(1.0, 1.03, 10**5))),  # saturates to 0.0 near n = 25,000
+    # as long as the longer horizon below; saturates to 0.0 near n = 25,000
+    Explicit(tuple(np.random.default_rng(5).uniform(1.0, 1.03, max(5 * _LEAF + 17, 10**5)))),
 ]
 
 
@@ -457,6 +460,27 @@ def test_chaos_sums_of_many_starts_equal_np_sum_bit_for_bit(w, horizon):
         expected = [float(np.sum(terms[s:])) for s in starts]
     got = dynamics._chaos_sums(w, 2.0, horizon, starts)
     assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("w", _SUM_FAMILIES, ids=["T1", "T2", "T3", "constant 2", "constant 0.5", "explicit"])
+def test_the_sweep_writes_each_chunk_once_into_views_of_one_buffer(w, monkeypatch):
+    horizon = 5 * _LEAF + 17
+    chunks = []
+    profile = type(w).log_abs_profile
+
+    def spy(self, lo, hi, out=None):
+        chunks.append((lo, hi, out))
+        return profile(self, lo, hi, out)
+
+    monkeypatch.setattr(type(w), "log_abs_profile", spy)
+    dynamics._chaos_sums(w, 2.0, horizon, (0, horizon // 10))
+    buf = chunks[0][2].base
+    assert all(out is not None and out.base is buf and len(out) == hi - lo for lo, hi, out in chunks)
+    assert all(0 < hi - lo <= _LEAF for lo, hi, _ in chunks)
+    # in one rising sweep, each term once, up to the saturated suffix and at most 127 terms into it
+    assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
+    n0 = dynamics._saturated_suffix(w, 2.0, horizon)[0]
+    assert n0 <= chunks[-1][1] < n0 + 128
 
 
 def _evidence_peak(w, horizon):

@@ -476,7 +476,7 @@ def _blocks_reference(w, lo, hi):
     return np.where(t <= 0, w.first, w.second), profile
 
 
-_LEAF = dynamics._LEAF  # horizon_evidence asks for chunks of up to _LEAF terms; blocks build pieces of _LEAF
+_LEAF = dynamics._LEAF  # horizon_evidence asks for chunks of up to _LEAF terms
 _K52 = 2**26 - 1  # pair _K52 ends at 2**52 - 2**26, the last pair end in the exact domain of the counts
 _BLOCK_PAIRS = [
     (2.0, 0.5),
@@ -524,6 +524,43 @@ def test_block_ranges_match_the_position_by_position_reference_bit_for_bit(case)
     assert got_weights.tobytes() == weights.tobytes()
     assert got_profile.dtype == profile.dtype == np.float64
     assert got_profile.tobytes() == profile.tobytes()
+
+
+@st.composite
+def _chunk_ranges(draw):
+    """A family of any kind, a range of at most one chunk drawn as ``_block_ranges`` draws it, and an offset."""
+    family = draw(st.sampled_from(["constant", "explicit", "blocks", "powerlaw"]))
+    if family == "explicit":  # the list must hold the range
+        lo = draw(st.integers(0, 3 * _LEAF))
+    elif draw(st.booleans()):
+        lo = draw(st.integers(0, 10**9))
+    else:  # start where a pair or block ends, or one off it
+        lo = max(_pair_boundary(draw(st.integers(1, 10**4)), draw(st.integers(0, 2))) + draw(st.integers(-1, 1)), 0)
+    hi = lo + draw(st.integers(0, _LEAF))
+    if family == "constant":
+        w = Constant(draw(_weight))
+    elif family == "explicit":
+        w = Explicit(tuple(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 20.0, hi + 1)))
+    elif family == "blocks":
+        a, b = draw(st.sampled_from(_BLOCK_PAIRS))
+        w = BalancedBlocks(a, b, draw(st.booleans()))
+    else:
+        w = PowerLawBeta(draw(st.floats(min_value=-3.0, max_value=3.0)))
+    return w, lo, hi, draw(st.integers(0, 15))
+
+
+@given(_chunk_ranges())
+@example((PowerLawBeta(0.5), 10**9 - _LEAF, 10**9, 3))  # up to the largest --horizon
+@example((BalancedBlocks(2.0, 0.5), 0, _LEAF, 1))
+@example((Constant(0.5), 0, 0, 0))
+@settings(max_examples=200, deadline=None)
+def test_profile_written_into_a_view_has_the_bits_of_a_fresh_one(case):
+    w, lo, hi, offset = case
+    buf = np.full(offset + hi - lo + 8, math.nan)
+    view = buf[offset : offset + hi - lo]
+    assert w.log_abs_profile(lo, hi, out=view) is view
+    assert view.tobytes() == w.log_abs_profile(lo, hi).tobytes()
+    assert np.isnan(buf[:offset]).all() and np.isnan(buf[offset + hi - lo :]).all()
 
 
 def test_whole_range_block_profile_takes_little_more_memory_than_its_output():
