@@ -450,7 +450,8 @@ _SUM_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("horizon", [5 * _LEAF + 17, 10**5])
+# 40,977 ends inside a leaf; 5 * _LEAF + 17 spans five whole leaves and a ragged sixth
+@pytest.mark.parametrize("horizon", [40_977, 5 * _LEAF + 17, 10**5])
 @pytest.mark.parametrize("w", _SUM_FAMILIES, ids=["T1", "T2", "T3", "constant 2", "constant 0.5", "explicit"])
 def test_chaos_sums_of_many_starts_equal_np_sum_bit_for_bit(w, horizon):
     n0 = dynamics._saturated_suffix(w, 2.0, horizon)[0]
