@@ -113,6 +113,7 @@ def _kernels() -> dict:
         random_vectors,
         tail_power_sums,
     )
+    from shiftlab.cli import _parse_explicit
     from shiftlab.dynamics import beta_profile, horizon_evidence
     from shiftlab.seqspace import _Batch, _random_parts, _tails
 
@@ -136,6 +137,11 @@ def _kernels() -> dict:
     def evidence(w, p):
         return lambda n: partial(horizon_evidence, w, p, n)
 
+    def explicit_list(n):
+        # an inline explicit:... list of n weights with 4 decimals, as perfbench's classify list
+        rng = random.Random(n)
+        return partial(_parse_explicit, ",".join(f"{rng.uniform(0.97, 1.06):.4f}" for _ in range(n)))
+
     # the perfbench classify families: the sums' terms saturate differently in each
     families = {
         "T1": (t1.weights, 2.0),
@@ -145,6 +151,7 @@ def _kernels() -> dict:
         "powerlaw": (PowerLawBeta(0.4), 3.0),
     }
     return {
+        "cli._parse_explicit": ((16_384, 65_536, 262_144), explicit_list),
         "seqspace.lp_norm": ((2048, 8192, 32768), on_vector(lp_norm, 3.0)),
         "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
         "seqspace._tails[batch]": ((25, 100, 400), tail_batch),

@@ -63,6 +63,8 @@ from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import __version__
 from .conjugacy import (
     ClassMismatchError,
@@ -137,8 +139,8 @@ def _parse_scalar(token: str) -> complex:
 
 
 def _parse_explicit(entries: str) -> Explicit:
-    try:
-        weights = tuple(complex(tok) for tok in entries.split(","))
+    try:  # numpy's str -> complex128 cast is complex() per token
+        weights = np.array(entries.split(","), dtype=np.complex128)
     except ValueError:
         raise ValueError(f"cannot parse explicit weights {entries!r}") from None
     return Explicit(weights)

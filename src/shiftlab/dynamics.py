@@ -68,10 +68,6 @@ __all__ = [
     "CHAOS_FLAT_TOL",
     "beta_profile",
     "horizon_evidence",
-    "chaotic_evidence",
-    "mixing_evidence",
-    "transitive_evidence",
-    "bounded_evidence",
     "classify",
     "make_example",
     "example3_point",
@@ -362,30 +358,6 @@ def horizon_evidence(w: WeightSequence, p: float, horizon: int) -> HorizonEviden
 
 
 # ---------------------------------------------------------------------------
-# the scalar checks behind each label
-
-
-def chaotic_evidence(ev: HorizonEvidence) -> bool:
-    """The chaos sum converged numerically: finite and Cauchy-flat at the end."""
-    return math.isfinite(ev.partial_sum) and ev.last_decade_increment < CHAOS_FLAT_TOL
-
-
-def mixing_evidence(ev: HorizonEvidence) -> bool:
-    """The whole tail window sits an order of magnitude up and above the head."""
-    return ev.tail_log_min >= LOG_ESCAPE and ev.tail_log_min > ev.head_log_max
-
-
-def transitive_evidence(ev: HorizonEvidence) -> bool:
-    """Tail-window peaks are an order of magnitude up and still making highs."""
-    return ev.tail_log_max >= LOG_ESCAPE and ev.tail_log_max > ev.head_log_max
-
-
-def bounded_evidence(ev: HorizonEvidence) -> bool:
-    """No new highs: the tail window never beats the head window or log 1."""
-    return ev.tail_log_max <= max(ev.head_log_max, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # classification
 
 
@@ -395,8 +367,19 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     Constant, power-law, and balanced-block generators are decided from the
     closed form of beta and come back with ``Analytic`` confidence (the
     horizon then only sizes the attached evidence scalars).  Explicit lists
-    go through the numeric checks at ``min(horizon, len(weights))``; they
-    earn ``NumericEvidence`` when every check behind a label agrees, and
+    go through the numeric checks on ``horizon_evidence`` at
+    ``min(horizon, len(weights))``, in this order:
+
+    * mixing: the whole tail window is at least LOG_ESCAPE and above the
+      head window's max.  Then ``Chaotic`` when the chaos sum is finite and
+      its last-decade increment is below CHAOS_FLAT_TOL, and
+      ``MixingNotChaotic`` otherwise.
+    * transitive: the tail window's max is at least LOG_ESCAPE and above
+      the head window's max, ``TransitiveNotMixing``.
+    * otherwise ``NotTransitive``, which is evidence only when the tail
+      window's max is at most the head window's max or 0.0 (no new highs).
+
+    A label earns ``NumericEvidence`` when its checks hold, and
     ``Inconclusive`` otherwise or when fewer than 100 weights are available.
     """
     check_exponent(p)
@@ -411,14 +394,15 @@ def classify(w: WeightSequence, p: float, horizon: int = DEFAULT_HORIZON) -> Dyn
     # numeric path: explicit weight lists only
     effective = min(horizon, len(w.weights))
     ev = horizon_evidence(w, p, effective)
-    if mixing_evidence(ev):
-        label = DynamicsLabel.CHAOTIC if chaotic_evidence(ev) else DynamicsLabel.MIXING_NOT_CHAOTIC
-    elif transitive_evidence(ev):
+    if ev.tail_log_min >= LOG_ESCAPE and ev.tail_log_min > ev.head_log_max:  # mixing
+        chaotic = math.isfinite(ev.partial_sum) and ev.last_decade_increment < CHAOS_FLAT_TOL
+        label = DynamicsLabel.CHAOTIC if chaotic else DynamicsLabel.MIXING_NOT_CHAOTIC
+    elif ev.tail_log_max >= LOG_ESCAPE and ev.tail_log_max > ev.head_log_max:  # transitive
         label = DynamicsLabel.TRANSITIVE_NOT_MIXING
     else:
         label = DynamicsLabel.NOT_TRANSITIVE
     # a NotTransitive label is only evidence when the profile made no new highs
-    decided = label is not DynamicsLabel.NOT_TRANSITIVE or bounded_evidence(ev)
+    decided = label is not DynamicsLabel.NOT_TRANSITIVE or ev.tail_log_max <= max(ev.head_log_max, 0.0)
     confidence = Confidence.NUMERIC_EVIDENCE if decided and effective >= MIN_HORIZON else Confidence.INCONCLUSIVE
     return DynamicsVerdict(label, confidence, effective, ev)
 

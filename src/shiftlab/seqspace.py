@@ -12,7 +12,8 @@ rounding only; there is no series truncation error anywhere in this module.
 Weight sequences come in four generator families:
 
 * ``Constant(value)``             w_n = value for every n
-* ``Explicit(weights)``           w_n read from a finite list
+* ``Explicit(weights)``           w_n read from a finite list, which it holds as
+                                  its own read-only complex128 array, ``weights``
 * ``BalancedBlocks(a, b)``        k copies of a, then k copies of b, k = 1, 2, ...
 * ``PowerLawBeta(alpha)``         positive weights whose running product is n**alpha
 
@@ -39,7 +40,8 @@ index range lo < n <= hi (0 <= lo <= hi):
 
 Everything else (``apply_shift``, the ``dynamics`` profiles, labels and
 orbits) goes through these methods, so a new family is one new class, plus
-its descriptor in the CLI.
+its descriptor in the CLI.  Families compare by value, but for ``Explicit``,
+which compares by identity rather than by its array.
 
 ``BalancedBlocks`` tiles the index line with pairs of equal-length blocks:
 pair k occupies positions k(k-1)+1 .. k(k+1), the first k of them carrying
@@ -457,44 +459,46 @@ class Constant:
         return {"kind": "constant", "value": _pair(self.value)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Explicit:
-    """A finite, explicitly listed weight sequence."""
+    """A finite, explicitly listed weight sequence, compared by identity.
 
-    weights: tuple[complex, ...]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_abs: np.ndarray = field(init=False, repr=False, compare=False)
+    ``weights`` is the list's own copy of the weights given, one read-only
+    complex128 array.
+    """
+
+    weights: np.ndarray
+    _log_abs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # the weights are checked as one array; when one fails, or complex()
-        # refuses one, _checked_weight of each in turn raises for the first
-        ws = tuple(self.weights)
+        # the weights are checked as one array, a copy of an array given and of
+        # the items of anything else; when one fails, or the conversion refuses
+        # one or gives no 1-D array, _checked_weight of each in turn raises for the first
+        ws = self.weights if isinstance(self.weights, np.ndarray) else tuple(self.weights)
         try:
-            arr = np.fromiter(ws := tuple(map(complex, ws)), dtype=np.complex128, count=len(ws))
+            arr = np.array(ws, dtype=np.complex128)
         except (TypeError, ValueError, OverflowError):
             arr = None
         with np.errstate(over="ignore"):  # finite parts whose modulus is beyond float range: inf
-            if arr is None or not (arr.all() and np.isfinite(np.hypot(arr.real, arr.imag)).all()):
-                ws = tuple(map(_checked_weight, ws))
-        if not ws:
-            raise ValueError("explicit weight list must be nonempty")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "_array", arr)
-        # the whole profile, once: a running sum from w_1 gives an entry the
-        # same bits whichever range it is asked for in, and a list the caller
-        # holds bounds its size
-        with np.errstate(over="ignore"):
+            if arr is None or arr.ndim != 1 or not (arr.all() and np.isfinite(np.hypot(arr.real, arr.imag)).all()):
+                arr = np.array(list(map(_checked_weight, ws)), dtype=np.complex128)
+            if not len(arr):
+                raise ValueError("explicit weight list must be nonempty")
+            arr.flags.writeable = False
+            object.__setattr__(self, "weights", arr)
+            # the whole profile, once: a running sum from w_1 gives an entry the
+            # same bits whichever range it is asked for in, and a list the caller
+            # holds bounds its size
             object.__setattr__(self, "_log_abs", np.cumsum(np.log(np.abs(arr))))
 
     def _range(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """``a[lo:hi]`` of an array with one entry per weight, or ``IndexError`` past the list."""
-        n = len(self.weights)
-        if hi > n:
+        if hi > (n := len(self.weights)):
             raise IndexError(f"weight index {max(lo, n) + 1} beyond explicit list of length {n}")
         return a[lo:hi]
 
     def weight_range(self, lo: int, hi: int) -> np.ndarray:
-        return self._range(self._array, lo, hi).copy()
+        return self._range(self.weights, lo, hi).copy()
 
     def log_abs_profile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         return np.concatenate((self._range(self._log_abs, lo, hi),), out=out)  # a copy, into out when given
@@ -507,7 +511,7 @@ class Explicit:
         return None  # a finite list only ever gives finite-horizon evidence
 
     def to_dict(self) -> dict:
-        return {"kind": "explicit", "weights": self._array.view(np.float64).reshape(-1, 2).tolist()}
+        return {"kind": "explicit", "weights": self.weights.view(np.float64).reshape(-1, 2).tolist()}
 
 
 # The streamed chaos sums in ``dynamics`` ask for profile chunks of at most
@@ -768,8 +772,10 @@ def random_vectors(
     Support lengths are drawn uniformly from ``support_range`` (inclusive)
     and each coordinate has real and imaginary parts uniform on
     ``[-box, box]``.  The same ``seed`` always yields the same sample.
+    A bad ``support_range`` raises before a bad ``p``.
     """
-    return [FinSeqVector(p, tuple(starmap(complex, a.tolist()))) for a in _random_parts(count, seed, support_range, box)]
+    parts, p = _random_parts(count, seed, support_range, box), check_exponent(p)
+    return [FinSeqVector._of(p, tuple(a.view(np.complex128)[:, 0].tolist())) for a in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from shiftlab import (
     diag_similarity,
     escape_demo,
     max_coord_diff,
+    seqspace,
     vector_from_dict,
     vector_to_dict,
 )
@@ -275,6 +277,31 @@ def test_orbit_powerlaw_weight_overflow_is_a_range_error(capsys):
     code, doc = run_json(capsys, "orbit", "--op", "powerlaw:1100", "--point", "e1", "--n", "3")
     assert code == 0
     assert doc["result"]["norms"] == [1.0, 0.0, 0.0, 0.0]
+
+
+_EDGE_TOKENS = ("1_0", "\u0661", " (2) ", "+1-2J", "(-0.0+3j)", "1e-300-0j", "1.5e308", "5e-324j")
+_NONFINITE_TOKENS = ("infinity", "-nan", "1e400")
+
+
+def _bits(z):
+    return complex(z).real.hex(), complex(z).imag.hex(), math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
+
+def test_explicit_tokens_read_as_complex_reads_them():
+    # numpy's str -> complex128 cast, which _parse_explicit relies on, is complex() per token
+    for tok in _EDGE_TOKENS + _NONFINITE_TOKENS:
+        assert _bits(np.array([tok], dtype=np.complex128)[0]) == _bits(complex(tok))
+    w = cli._parse_explicit(",".join(_EDGE_TOKENS)).weights
+    assert list(map(_bits, w.tolist())) == [_bits(complex(tok)) for tok in _EDGE_TOKENS]
+    for tok in _NONFINITE_TOKENS:  # refused by the one rule for a weight, with its message
+        with pytest.raises(ValueError) as reference:
+            seqspace._checked_weight(complex(tok))
+        with pytest.raises(ValueError) as got:
+            cli._parse_explicit(f"1,{tok},2")
+        assert str(got.value) == str(reference.value)
+    for bad in ("1,,2", "1,x", "0x1", "1+"):
+        with pytest.raises(ValueError, match="cannot parse explicit weights"):
+            cli._parse_explicit(bad)
 
 
 def test_orbit_weight_modulus_beyond_float_range_is_refused_at_parse_time(capsys):

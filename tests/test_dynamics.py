@@ -34,11 +34,7 @@ from shiftlab.dynamics import (
     Confidence,
     DynamicsLabel,
     HorizonEvidence,
-    bounded_evidence,
-    chaotic_evidence,
     horizon_evidence,
-    mixing_evidence,
-    transitive_evidence,
 )
 
 # ---------------------------------------------------------------------------
@@ -217,31 +213,21 @@ def test_verdict_serializes_with_finite_and_infinite_scalars():
 # evidence scalars and the label checks
 
 
-def test_evidence_hierarchy_chain_on_analytic_generators():
-    # chaotic evidence implies mixing evidence implies transitive evidence
-    cases = [
-        (Constant(2.0), 2.0, 100_000),
-        (Constant(4.0), 1.0, 100_000),
-        (PowerLawBeta(1.5), 2.0, 10_000),
-        (PowerLawBeta(2.0), 2.0, 10_000),
+def test_classify_explicit_slices_of_analytic_generators():
+    # every check of the numeric rule, on lists long enough for each to decide
+    table = [
+        (Constant(2.0), 2.0, 100_000, "Chaotic"),
+        (Constant(4.0), 1.0, 100_000, "Chaotic"),
+        (PowerLawBeta(1.5), 2.0, 10_000, "Chaotic"),
+        (PowerLawBeta(2.0), 2.0, 10_000, "Chaotic"),
+        (PowerLawBeta(0.5), 2.0, 100_000, "MixingNotChaotic"),  # T1
+        (BalancedBlocks(2.0, 0.5), 2.0, 1_000_000, "TransitiveNotMixing"),  # T2
+        (BalancedBlocks(0.5, 2.0), 2.0, 1_000_000, "NotTransitive"),  # T3
     ]
-    for w, p, horizon in cases:
-        ev = horizon_evidence(w, p, horizon)
-        assert chaotic_evidence(ev)
-        assert mixing_evidence(ev)
-        assert transitive_evidence(ev)
-        assert not bounded_evidence(ev)
-
-
-def test_evidence_separates_the_three_example_operators():
-    t1 = horizon_evidence(PowerLawBeta(0.5), 2.0, 100_000)
-    assert mixing_evidence(t1) and not chaotic_evidence(t1)
-
-    t2 = horizon_evidence(BalancedBlocks(2.0, 0.5), 2.0, 1_000_000)
-    assert transitive_evidence(t2) and not mixing_evidence(t2)
-
-    t3 = horizon_evidence(BalancedBlocks(0.5, 2.0), 2.0, 1_000_000)
-    assert bounded_evidence(t3) and not transitive_evidence(t3)
+    for w, p, horizon, label in table:
+        assert w.analytic_label(p) == label
+        v = classify(Explicit(w.weight_range(0, horizon)), p, horizon)
+        assert (v.label, v.confidence, v.horizon) == (label, Confidence.NUMERIC_EVIDENCE, horizon)
 
 
 def test_evidence_window_is_sqrt_horizon():

@@ -371,6 +371,30 @@ def test_explicit_to_dict_matches_the_per_weight_forms_bit_for_bit():
         assert all(type(x) is float for pair in pairs for x in pair)
 
 
+def test_explicit_owns_one_read_only_complex128_array():
+    given = np.array([2.0, 0.5j, -3.0, 1.5 + 1j])
+    listed = [2.0, 0.5j, -3.0, 1.5 + 1j]
+    for source in (given, listed):
+        w = Explicit(source)
+        assert w.weights.dtype == np.complex128 and w.weights.shape == (4,)
+        assert not w.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w.weights[0] = 7.0
+        profile, pairs = w.log_abs_profile(0, 4), w.to_dict()
+        source[0] = 7.0  # the caller's input
+        w.weight_range(0, 4)[1] = 7.0  # a range the list handed out
+        assert w.weights.tolist() == [2.0, 0.5j, -3.0, 1.5 + 1j]
+        assert [x.hex() for x in w.log_abs_profile(0, 4)] == [x.hex() for x in profile]
+        assert w.to_dict() == pairs
+
+
+def test_explicit_lists_compare_by_identity():
+    w = Explicit((1.0, 2.0))
+    assert w == w and w != Explicit((1.0, 2.0))
+    assert ShiftOperator(w, 2.0) == ShiftOperator(w, 2.0)
+    assert hash(w) == hash(w)
+
+
 # ---------------------------------------------------------------------------
 # the five-method protocol of the weight families
 
@@ -791,6 +815,21 @@ def test_random_vectors_deterministic_and_in_box():
         assert x.p == 2.0
         for z in x.coords:
             assert -10 <= z.real <= 10 and -10 <= z.imag <= 10
+
+
+def test_random_vectors_of_none_and_the_order_of_their_errors():
+    assert random_vectors(0, 2.0, seed=1) == []
+    assert random_vectors(0, 2.0, seed=1, support_range=(3, 3)) == []
+    with pytest.raises(ValueError, match="bad support range"):  # before the exponent
+        random_vectors(1, 0.5, seed=0, support_range=(0, 3))
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        random_vectors(1, 0.5, seed=0)
+
+
+def test_random_vectors_hold_the_parts_drawn_bit_for_bit():
+    for x, a in zip(random_vectors(5, 3.0, seed=9, support_range=(1, 40)), seqspace._random_parts(5, 9, (1, 40))):
+        assert x.p == 3.0 and all(type(z) is complex for z in x.coords)
+        assert [(z.real.hex(), z.imag.hex()) for z in x.coords] == [(re.hex(), im.hex()) for re, im in a.tolist()]
 
 
 def test_random_vectors_support_range():
