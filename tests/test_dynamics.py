@@ -213,21 +213,30 @@ def test_verdict_serializes_with_finite_and_infinite_scalars():
 # evidence scalars and the label checks
 
 
-def test_classify_explicit_slices_of_analytic_generators():
-    # every check of the numeric rule, on lists long enough for each to decide
-    table = [
-        (Constant(2.0), 2.0, 100_000, "Chaotic"),
-        (Constant(4.0), 1.0, 100_000, "Chaotic"),
-        (PowerLawBeta(1.5), 2.0, 10_000, "Chaotic"),
-        (PowerLawBeta(2.0), 2.0, 10_000, "Chaotic"),
-        (PowerLawBeta(0.5), 2.0, 100_000, "MixingNotChaotic"),  # T1
-        (BalancedBlocks(2.0, 0.5), 2.0, 1_000_000, "TransitiveNotMixing"),  # T2
-        (BalancedBlocks(0.5, 2.0), 2.0, 1_000_000, "NotTransitive"),  # T3
-    ]
+def _assert_explicit_slices_earn_the_analytic_label(table):
+    # the numeric rule on a list long enough for each of its checks to decide
     for w, p, horizon, label in table:
         assert w.analytic_label(p) == label
         v = classify(Explicit(w.weight_range(0, horizon)), p, horizon)
         assert (v.label, v.confidence, v.horizon) == (label, Confidence.NUMERIC_EVIDENCE, horizon)
+
+
+def test_evidence_hierarchy_chain_on_analytic_generators():
+    # chaotic evidence passes the mixing, transitive and unbounded checks too
+    _assert_explicit_slices_earn_the_analytic_label([
+        (Constant(2.0), 2.0, 100_000, "Chaotic"),
+        (Constant(4.0), 1.0, 100_000, "Chaotic"),
+        (PowerLawBeta(1.5), 2.0, 10_000, "Chaotic"),
+        (PowerLawBeta(2.0), 2.0, 10_000, "Chaotic"),
+    ])
+
+
+def test_evidence_separates_the_three_example_operators():
+    _assert_explicit_slices_earn_the_analytic_label([
+        (PowerLawBeta(0.5), 2.0, 100_000, "MixingNotChaotic"),  # T1
+        (BalancedBlocks(2.0, 0.5), 2.0, 1_000_000, "TransitiveNotMixing"),  # T2
+        (BalancedBlocks(0.5, 2.0), 2.0, 1_000_000, "NotTransitive"),  # T3
+    ])
 
 
 def test_evidence_window_is_sqrt_horizon():
