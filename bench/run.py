@@ -113,12 +113,26 @@ def _kernels() -> dict:
         random_vectors,
         tail_power_sums,
     )
-    from shiftlab.cli import _parse_explicit
+    from shiftlab.cli import _cmd_apply_map, _dumps, _parse_explicit
     from shiftlab.dynamics import beta_profile, horizon_evidence
-    from shiftlab.seqspace import _Batch, _random_parts, _tails
+    from shiftlab.seqspace import _Batch, _random_parts, _read_vector, _tails
 
     def vector(n, p):
         return random_vectors(1, p, seed=n, support_range=(n, n))[0]
+
+    def vector_doc(n):
+        # a vector file as json.load gives it: p and [re, im] pairs of Python floats
+        return {"p": 2.0, "coords": [[z.real, z.imag] for z in vector(n, 2.0).coords]}
+
+    def apply_map_record(n):
+        # what apply-map --h s=2 --roundtrip writes, built by the command from a file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "vec.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(vector_doc(n), f)
+            args = argparse.Namespace(infile=path, h="s=2", g=None, diag=None, roundtrip=True)
+            config, result, _ = _cmd_apply_map(args)
+        return partial(_dumps, {"command": "apply-map", "config": config, "result": result, "seed": 0, "version": "0"})
 
     def on_vector(kernel, p, *args):
         return lambda n: partial(kernel, vector(n, p), *args)
@@ -152,6 +166,8 @@ def _kernels() -> dict:
     }
     return {
         "cli._parse_explicit": ((16_384, 65_536, 262_144), explicit_list),
+        "cli._dumps[apply-map]": ((1024, 4096, 16384), apply_map_record),
+        "seqspace._read_vector": ((1024, 4096, 16384), lambda n: partial(_read_vector, vector_doc(n))),
         "seqspace.lp_norm": ((2048, 8192, 32768), on_vector(lp_norm, 3.0)),
         "seqspace.tail_power_sums": ((1024, 4096, 16384), on_vector(tail_power_sums, 3.0)),
         "seqspace._tails[batch]": ((25, 100, 400), tail_batch),

@@ -96,7 +96,6 @@ from .seqspace import (
     _NUMBERS,
     _read_vector,
     _subtract,
-    _vector_dict,
     check_exponent,
     random_vectors,
 )
@@ -249,15 +248,17 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     The stdlib falls back to its pure-Python encoder whenever ``indent`` is
     set.  Here dicts, whose keys must be str, are walked in Python, but
     every scalar, and every list of numbers or of nonempty number lists
-    (``coords``, ``weights``, ``norms``), is encoded compactly by the C
-    encoder in one call and then re-indented with ``str.replace``: a
-    number's text holds no comma or bracket.  That encoder skips the
-    circular-reference check, since every payload is a tree that a command
-    builds afresh; ``apply-map``'s image coordinates reach it as the one
-    list ``tolist`` makes of the image's parts.  It refuses a nan or inf
-    anywhere else, which JSON has no token for, so stdout is strict JSON.
-    ``indent`` is the newline and indentation that precede this value's
-    closing bracket.
+    (``weights``, ``norms``), is encoded compactly by the C encoder in one
+    call and then re-indented with ``str.replace``: a number's text holds
+    no comma or bracket.  That encoder skips the circular-reference check,
+    since every payload is a tree that a command builds afresh.  A float64
+    array (``apply-map``'s image ``coords``, its (n, 2) parts) is written
+    with one ``%`` format, a ``%r`` per entry in the indented layout of its
+    nested list: ``%r`` of a float is ``float.__repr__``, the text the C
+    encoder writes, so the bytes are those of ``tolist``'s list.  A nan or
+    inf, which JSON has no token for, is refused everywhere, so stdout is
+    strict JSON.  ``indent`` is the newline and indentation that precede
+    this value's closing bracket.
     """
     inner = indent + "  "
     if hasattr(obj, "to_dict"):
@@ -269,6 +270,11 @@ def _dumps(obj: object, indent: str = "\n") -> str:
             return "{}"
         items = (encode_basestring_ascii(key) + ": " + _dumps(value, inner) for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:  # 1-D, or 2-D
+        if not (obj.size and np.isfinite(obj).all()):  # "[]", or the encoder's own error
+            return _dumps(obj.tolist(), indent)
+        row = "%r" if obj.ndim == 1 else "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * obj.shape[1]) + inner + "]"
+        return ("[" + inner + ("," + inner).join([row] * len(obj)) + indent + "]") % tuple(obj.ravel().tolist())
     if not isinstance(obj, (list, tuple)):
         return _compact(obj)
     if not obj:
@@ -371,11 +377,11 @@ def _cmd_apply_map(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
     The file is read straight into split float64 parts (``_read_vector``),
     mapped and, with ``--roundtrip``, inverted by the maps' batch kernels
-    (``on_batch``), and the image is written from its parts
-    (``_vector_dict``).  The round-trip deviation is the largest modulus
-    of the lane differences, ``np.hypot`` of the parts, which has the bits
-    of ``abs`` of the complex difference.  The bytes are those of the
-    one-vector functions.
+    (``on_batch``), and the image is written from the (n, 2) array of its
+    parts, which ``_dumps`` formats in one pass.  The round-trip deviation
+    is the largest modulus of the lane differences, ``np.hypot`` of the
+    parts, which has the bits of ``abs`` of the complex difference.  The
+    bytes are those of the one-vector functions.
     """
     x = _read_vector(_load(args.infile))
     if args.h is not None:
@@ -389,7 +395,7 @@ def _cmd_apply_map(args: argparse.Namespace) -> tuple[dict, dict, int]:
             raise ValueError(f"cannot parse {args.diag!r}; expected <lam>:<omega>")
         phi = diag_similarity(_parse_scalar(parts[0]), _parse_scalar(parts[1]), x.p)
     image = phi.on_batch(x)
-    result: dict = {"map": phi, "image": _vector_dict(image)}
+    result: dict = {"map": phi, "image": {"p": image.p, "coords": np.stack([image.re, image.im], axis=1)}}
     if args.roundtrip:
         back = phi.inverse().on_batch(image)
         result["roundtrip_max_deviation"] = max(_subtract(x, back).moduli().tolist(), default=0.0)

@@ -786,18 +786,12 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _vector_dict(x: _Batch) -> dict:
-    """The ``vector_to_dict`` form of a batch of one vector, written from its parts."""
-    return {"p": x.p, "coords": np.stack([x.re, x.im], axis=1).tolist()}
-
-
 def vector_to_dict(x: FinSeqVector) -> dict:
-    """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``.
+    """JSON-ready form: ``{"p": p, "coords": [[re, im], ...]}``, each part a Python float.
 
-    This is ``_vector_dict``, which the CLI writes images with, of ``x`` as
-    a batch of one.
+    ``apply-map`` writes its image as ``json.dumps`` writes this form of it.
     """
-    return _vector_dict(_one(x))
+    return {"p": x.p, "coords": list(map(_pair, x.coords))}
 
 
 _NUMBERS = {int, float}  # exact types: a JSON true or false is not a number here
@@ -822,18 +816,24 @@ def _coordinate(n: int, v: object) -> tuple[float, float]:
 def _coord_parts(coords: list) -> np.ndarray:
     """The (n, 2) float64 real and imaginary parts of the entries of ``coords``.
 
-    When every entry is an exact int or float, or every entry a list of
-    them, one array conversion reads them all.  Any other list, and one
-    whose array cannot be built, has the wrong shape or holds a part that is
-    not finite, goes through ``_coordinate`` entry by entry, which reads
-    numeric strings and mixed entries and raises for the first bad entry.
+    When every entry is an exact int or float, one array conversion reads
+    them all.  When every entry is a pair of them, one ``np.fromiter``
+    pass over the parts in order does, which skips the nested-sequence
+    discovery that is most of ``np.array``'s time.  Any other list, and one
+    holding an integer beyond float range or a part that is not finite,
+    goes through ``_coordinate`` entry by entry, which reads numeric strings
+    and mixed entries and raises for the first bad entry.
     """
     kinds = set(map(type, coords))
-    if kinds <= _NUMBERS or kinds == {list} and set(map(type, chain.from_iterable(coords))) <= _NUMBERS:
-        with suppress(OverflowError, ValueError):  # an integer beyond float range, or lists of other lengths
-            a = np.array(coords, dtype=np.float64)
-            a = np.stack([a, np.zeros_like(a)], axis=1) if a.ndim == 1 else a  # bare reals
-            if a.shape[1] == 2 and np.isfinite(a).all():
+    pairs = kinds == {list} and set(map(len, coords)) == {2}
+    if pairs and set(map(type, chain.from_iterable(coords))) <= _NUMBERS or kinds <= _NUMBERS:
+        with suppress(OverflowError):  # an integer beyond float range
+            if pairs:
+                a = np.fromiter(chain.from_iterable(coords), np.float64, 2 * len(coords)).reshape(-1, 2)
+            else:  # bare reals
+                a = np.array(coords, dtype=np.float64)
+                a = np.stack([a, np.zeros_like(a)], axis=1)
+            if np.isfinite(a).all():
                 return a
     return np.array(list(starmap(_coordinate, enumerate(coords, 1))), dtype=np.float64)
 

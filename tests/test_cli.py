@@ -440,6 +440,12 @@ _BEYOND_FLOAT = int("9" * 400)  # a JSON integer that float() cannot take
         ({"p": 2, "coords": [[1, 0], [0, False]]}, "coordinate 2 must be an [re, im] pair or a real, got [0, False]"),
         ({"p": 2, "coords": [True]}, "coordinate 1 must be an [re, im] pair or a real, got True"),
         ({"p": True, "coords": [[1, 0]]}, "exponent must satisfy 1 <= p < inf, got True"),
+        # pairs that the one-pass read of number pairs leaves to the per-coordinate loop
+        ({"p": 2, "coords": [[1, 2, 3], [4]]}, "coordinate 1 must be an [re, im] pair or a real, got [1, 2, 3]\n"),
+        ({"p": 2, "coords": [[True, 0]]}, "coordinate 1 must be an [re, im] pair or a real, got [True, 0]\n"),
+        ({"p": 2, "coords": [[10**400, 0]]}, "coordinate 1 is an integer beyond float range\n"),
+        ({"p": 2, "coords": [[1, 0], [math.inf, 0]]}, "coordinate 2 must be finite, got (inf+0j)\n"),
+        ({"p": 2, "coords": [[1, 0], [0, math.nan]]}, "coordinate 2 must be finite, got nanj\n"),
     ],
 )
 def test_apply_map_integer_beyond_float_range_is_an_error(capsys, tmp_path, doc, message):
@@ -450,6 +456,14 @@ def test_apply_map_integer_beyond_float_range_is_an_error(capsys, tmp_path, doc,
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_apply_map_reads_a_numeric_string_among_pairs(capsys, tmp_path):
+    (tmp_path / "a.json").write_text('{"p": 2, "coords": [["1.5", 0], [1, 2]]}')
+    (tmp_path / "b.json").write_text('{"p": 2, "coords": [[1.5, 0], [1, 2]]}')
+    code, out, err = run(capsys, "apply-map", "--h", "s=2", "--in", str(tmp_path / "a.json"))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "apply-map", "--h", "s=2", "--in", str(tmp_path / "b.json"))[1].replace("b.json", "a.json")
 
 
 def test_apply_map_missing_file(capsys, tmp_path):
@@ -556,6 +570,34 @@ def test_dumps_matches_json_dumps_on_full_size_vectors():
     explicit = {"config": {"weights": {"kind": "explicit", "weights": weights}, "horizon": 10_000}}
     for payload in (transport, explicit):
         assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # apply-map hands its image over as the (n, 2) float64 array of its parts
+    parts = {"result": {"image": {"coords": np.array(coords), "p": 2.0}, "roundtrip_max_deviation": 1e-15}}
+    assert _dumps(parts) == json.dumps(transport, sort_keys=True, indent=2)
+
+
+# where repr changes form (1e16, 1e-05), its neighbours, signed zeros and subnormals
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1e-4, 1e-5, 1e16, -1e16, 9999999999999998.0, 1e308])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS
+
+
+def _as_array(values, pairs):
+    """``values`` as a 1-D float64 array, or as an (n, 2) one, dropping an odd last value."""
+    a = np.array(values, dtype=np.float64)
+    return a[: len(a) // 2 * 2].reshape(-1, 2) if pairs else a
+
+
+@settings(max_examples=150)
+@given(st.lists(_FINITE, max_size=40), st.booleans(), st.integers(0, 3))
+def test_dumps_writes_a_float64_array_as_json_dumps_writes_its_list(values, pairs, depth):
+    a, indent = _as_array(values, pairs), "\n" + "  " * depth
+    assert _dumps(a, indent) == json.dumps(a.tolist(), indent=2).replace("\n", indent)
+
+
+@settings(max_examples=50)
+@given(st.lists(_FINITE, max_size=10), st.sampled_from([math.nan, math.inf, -math.inf]), st.lists(_FINITE, max_size=10), st.booleans())
+def test_dumps_refuses_a_float64_array_holding_a_nan_or_inf(head, bad, tail, pairs):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _dumps(_as_array(head + [bad, bad] + tail, pairs))
 
 
 def _records():

@@ -935,7 +935,20 @@ def test_reader_array_path_agrees_with_the_per_coordinate_loop(coords):
         assert fast.tobytes() == slow.tobytes()  # every bit, signs of zero included
 
 
-@pytest.mark.parametrize("coords", [[], [[1.5, -2.0], [0, 3], [-0.0, 0.0]], [1.5, -0.0, 7], [[2**60 + 1, 5e-324]]])
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [],
+        [[1.5, -2.0], [0, 3], [-0.0, 0.0]],
+        [1.5, -0.0, 7],
+        [[2**60 + 1, 5e-324]],
+        # pairs read in one np.fromiter pass: ints, floats, mixed, and ints that round
+        [[1, 2], [-3, 0], [0, -7]],
+        [[1.5, -2.0], [-0.0, 0.0], [5e-324, 1e308]],
+        [[1, -0.0], [2.5, 3], [-(2**62), 1e-5]],
+        [[2**53 + 1, -(2**53) - 1], [10**308, -(10**308)], [2**1024 - 2**970 - 1, 0]],
+    ],
+)
 def test_reader_reads_numbers_as_one_array(monkeypatch, coords):
     def loop(n, v):
         raise AssertionError("the per-coordinate loop ran")
@@ -949,6 +962,7 @@ def test_reader_reads_numbers_as_one_array(monkeypatch, coords):
 def test_vector_dict_shape():
     d = vector_to_dict(FinSeqVector(2.0, (1 + 2j,)))
     assert d == {"p": 2.0, "coords": [[1.0, 2.0]]}
+    assert list(map(type, d["coords"][0])) == [float, float]  # Python floats, not numpy's
 
 
 @pytest.mark.parametrize(
