@@ -816,26 +816,20 @@ def _coordinate(n: int, v: object) -> tuple[float, float]:
 def _coord_parts(coords: list) -> np.ndarray:
     """The (n, 2) float64 real and imaginary parts of the entries of ``coords``.
 
-    When every entry is an exact int or float, one array conversion reads
-    them all.  When every entry is a pair of them, one ``np.fromiter``
-    pass over the parts in order does, which skips the nested-sequence
-    discovery that is most of ``np.array``'s time.  Any other list, and one
-    holding an integer beyond float range or a part that is not finite,
-    goes through ``_coordinate`` entry by entry, which reads numeric strings
-    and mixed entries and raises for the first bad entry.
+    When every entry is a pair of exact ints and floats, one ``np.fromiter``
+    pass over the parts in order reads them all, which skips the
+    nested-sequence discovery that is most of ``np.array``'s time.  Any
+    other list, and one holding an integer beyond float range or a part
+    that is not finite, goes through ``_coordinate`` entry by entry, which
+    reads bare reals, numeric strings and mixed entries and raises for the
+    first bad entry.
     """
-    kinds = set(map(type, coords))
-    pairs = kinds == {list} and set(map(len, coords)) == {2}
-    if pairs and set(map(type, chain.from_iterable(coords))) <= _NUMBERS or kinds <= _NUMBERS:
+    if set(map(type, coords)) == {list} and set(map(len, coords)) == {2} and set(map(type, chain.from_iterable(coords))) <= _NUMBERS:
         with suppress(OverflowError):  # an integer beyond float range
-            if pairs:
-                a = np.fromiter(chain.from_iterable(coords), np.float64, 2 * len(coords)).reshape(-1, 2)
-            else:  # bare reals
-                a = np.array(coords, dtype=np.float64)
-                a = np.stack([a, np.zeros_like(a)], axis=1)
+            a = np.fromiter(chain.from_iterable(coords), np.float64, 2 * len(coords)).reshape(-1, 2)
             if np.isfinite(a).all():
                 return a
-    return np.array(list(starmap(_coordinate, enumerate(coords, 1))), dtype=np.float64)
+    return np.array(list(starmap(_coordinate, enumerate(coords, 1))), dtype=np.float64).reshape(-1, 2)
 
 
 def _read_vector(d: object) -> _Batch:

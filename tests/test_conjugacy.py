@@ -42,6 +42,8 @@ from shiftlab.cli import _dumps
 from shiftlab.conjugacy import _residuals
 from shiftlab.seqspace import _Batch, _shift, _tails
 
+import reference
+
 # vectors whose moduli stay in a friendly range; enough for every identity here
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 coord = st.builds(complex, finite, finite).filter(lambda z: z == 0 or abs(z) > 1e-3)
@@ -551,36 +553,6 @@ def test_decision_agrees_with_builder(ml, mo, p, q):
 # the batch kernel against one sample and one coordinate at a time
 
 
-def _ref_tails(coords, p):
-    """Per-suffix fsums, walking from the last coordinate: the first power or tail out of range raises.
-
-    Each suffix is summed in coordinate order, as ``_suffix_fsums`` in
-    test_seqspace.py sums it: ``math.fsum`` raises an intermediate overflow
-    for (1.5 * 2**969, M/2, M/2), M the largest float, but not for
-    (M/2, M/2, 1.5 * 2**969), whose exact sum rounds down to M.
-    """
-    powers, tails = [], [0.0]
-    for k in range(len(coords), 0, -1):
-        try:
-            powers.append(abs(coords[k - 1]) ** p)
-        except OverflowError:
-            raise RangeError(f"|x_n|**p at coordinate {k} is beyond float range") from None
-        try:
-            tails.append(math.fsum(reversed(powers)))
-        except OverflowError:
-            tails.append(math.inf)
-        if tails[-1] == math.inf:
-            raise RangeError(f"tail power sum from coordinate {k} is inf: it left float range")
-    return tails[::-1]
-
-
-def _ref_outcome(f):
-    try:
-        return f()
-    except RangeError as e:
-        return str(e)
-
-
 @st.composite
 def tail_batches(draw):
     """An exponent and up to four vectors of 0 to 4,100 coordinates, each of one kind.
@@ -619,10 +591,10 @@ def tail_batches(draw):
 def test_batch_tails_match_per_suffix_fsums_and_the_walk_s_first_error(batch):
     p, vectors = batch
     # the walk goes from the last vector back, and the first that fails raises
-    refs = [_ref_outcome(lambda: _ref_tails(coords, p)[:-1]) for coords in vectors]
+    refs = [reference.outcome(lambda: reference.tails(coords, p)[:-1]) for coords in vectors]
     errors = [r for r in refs if isinstance(r, str)]
     want = errors[-1] if errors else [t.hex() for r in refs for t in r]
-    got = _ref_outcome(lambda: [t.hex() for t in _tails(_Batch.of(p, _parts(*vectors)))[2].tolist()])
+    got = reference.outcome(lambda: [t.hex() for t in _tails(_Batch.of(p, _parts(*vectors)))[2].tolist()])
     assert got == want
 
 
@@ -639,7 +611,7 @@ def test_a_tail_whose_bound_straddles_a_midpoint_is_summed_exactly():
     assert r[0, -1] == 1.0 and not ok[0, -1]
     tails = _tails(_Batch.of(1.0, _parts(coords)))[2]
     assert tails[0] == 1.0 + 2.0**-52
-    assert [t.hex() for t in tails.tolist()] == [t.hex() for t in _ref_tails(coords, 1.0)[:-1]]
+    assert [t.hex() for t in tails.tolist()] == [t.hex() for t in reference.tails(coords, 1.0)[:-1]]
 
 
 def test_a_running_sum_that_overflows_near_the_largest_float_still_rounds_exactly():
@@ -657,97 +629,9 @@ def test_a_running_sum_that_overflows_near_the_largest_float_still_rounds_exactl
     assert not np.isfinite(r[0, 3:]).any() and not ok[0, 3:].any()
     tails = _tails(_Batch.of(1.0, _parts(coords)))[2].tolist()
     assert tails == [sys.float_info.max] * 3 + [2.0**1023, 1.5 * 2.0**969]
-    assert [t.hex() for t in tails] == [t.hex() for t in _ref_tails(coords, 1.0)[:-1]]
+    assert [t.hex() for t in tails] == [t.hex() for t in reference.tails(coords, 1.0)[:-1]]
     with pytest.raises(RangeError, match=r"^tail power sum from coordinate 1 is inf: it left float range$"):
         _tails(_Batch.of(1.0, _parts([2.0**969] + coords)))
-
-
-def _ref_pow_diff(a, b, d, s):
-    """a**s - b**s for a = b + d, by expm1/log1p when a < 2b; inf when it overflows."""
-    try:
-        if b == 0.0:
-            return a**s
-        if d / b < 1.0:
-            return (b**s) * math.expm1(s * math.log1p(d / b))
-        return a**s - b**s
-    except OverflowError:
-        return math.inf
-
-
-def _ref_step(st, coords, p):
-    """One step of a conjugator, coordinate by coordinate."""
-    if isinstance(st, DiagStep):
-        factor, out = 1 + 0j, []
-        for i, c in enumerate(coords):
-            if i:
-                factor *= st.ratio
-            out.append(factor * c)
-        return out
-    if isinstance(st, HStep):
-        tails, out = _ref_tails(coords, p), []
-        for n, c in enumerate(coords, 1):
-            if c == 0:
-                out.append(0j)
-                continue
-            m = abs(c)
-            diff = _ref_pow_diff(tails[n - 1], tails[n], m**p, st.s)
-            if diff == math.inf:
-                raise RangeError(f"h_map image at coordinate {n} is beyond float range (s = {st.s!r})")
-            out.append((c / m) * diff ** (1.0 / p))
-        return out
-    out = []
-    for n, c in enumerate(coords, 1):
-        if c == 0:
-            out.append(0j)
-            continue
-        try:
-            m = abs(c)
-        except OverflowError:
-            raise RangeError(f"|x_n| at coordinate {n} is beyond float range") from None
-        try:
-            out.append((c / m) * m ** (p / st.q))
-        except OverflowError:
-            raise RangeError(f"g_map image at coordinate {n} is beyond float range (q = {st.q!r})") from None
-    return out
-
-
-def _ref_apply(phi, coords):
-    p = phi.domain_p
-    for st in phi.steps:
-        coords = _ref_step(st, coords, p)
-        p = st.codomain_p
-    return coords
-
-
-def _ref_shift(t, coords):
-    return [t.weights.value * c for c in coords[1:]]
-
-
-def _ref_norm(coords, p):
-    moduli = [abs(c) for c in coords]
-    try:
-        return math.fsum([m**p for m in moduli]) ** (1.0 / p)
-    except OverflowError:
-        top = max(moduli)
-        return top * math.fsum([(m / top) ** p for m in moduli]) ** (1.0 / p)
-
-
-def _ref_residual(source, target, phi, samples, seed):
-    """(max_residual.hex(), worst_index) of conjugacy_residual, one sample after another."""
-    residuals = []
-    for x in random_vectors(samples, source.p, seed):
-        lhs = _ref_apply(phi, _ref_shift(source, list(x.coords)))
-        rhs = _ref_shift(target, _ref_apply(phi, list(x.coords)))
-        residuals.append(_ref_norm([a - b for a, b in zip(lhs, rhs)], target.p))
-    worst = max(range(len(residuals)), key=residuals.__getitem__)
-    return residuals[worst].hex(), worst
-
-
-def _residual_outcome(f):
-    try:
-        return f()
-    except RangeError as e:
-        return str(e)
 
 
 @st.composite
@@ -769,8 +653,8 @@ def test_residual_batch_matches_a_serial_reference(pair, samples, seed):
     assume(conjugacy_class_decision(lam, p, omega, q))
     phi = build_conjugator(lam, p, omega, q)
     source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(omega), q)
-    got = _residual_outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, samples, seed)))
-    assert got == _residual_outcome(lambda: _ref_residual(source, target, phi, samples, seed))
+    got = reference.outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, samples, seed)))
+    assert got == reference.outcome(reference.residual, source, target, phi, samples, seed)
 
 
 # the second pair's first failure is sample 8's: a tail sum beyond float range
@@ -779,8 +663,8 @@ def test_residual_samples_split_into_batches_agree_with_the_serial_reference(mon
     monkeypatch.setattr(conjugacy, "_BATCH", 3)
     phi = build_conjugator(lam, p, omega, q)
     source, target = ShiftOperator(Constant(lam), p), ShiftOperator(Constant(omega), q)
-    got = _residual_outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, 10, 12)))
-    assert got == _residual_outcome(lambda: _ref_residual(source, target, phi, 10, 12))
+    got = reference.outcome(lambda: (lambda r: (r.max_residual.hex(), r.worst_index))(conjugacy_residual(source, target, phi, 10, 12)))
+    assert got == reference.outcome(reference.residual, source, target, phi, 10, 12)
 
 
 def _parts(*vectors):
@@ -796,7 +680,7 @@ def test_kernels_keep_the_sign_of_zero_parts_as_python_complexes_do():
     batch = _Batch.of(2.0, _parts(coords, coords[::-1]))
     for st_ in (HStep(2.0, 0.7), GStep(2.0, 3.0), DiagStep(2.0, complex(-0.0, 1.0)), DiagStep(2.0, -1 + 0j)):
         images = st_.on_batch(batch).vectors()
-        assert [_bits(y.coords) for y in images] == [_bits(_ref_step(st_, v, 2.0)) for v in (coords, coords[::-1])]
+        assert [_bits(y.coords) for y in images] == [_bits(reference.step(st_, v, 2.0)) for v in (coords, coords[::-1])]
     shifted = _shift(ShiftOperator(Constant(complex(-0.0, 1.0)), 2.0), batch).vectors()
     assert [_bits(y.coords) for y in shifted] == [_bits(complex(-0.0, 1.0) * c for c in v[1:]) for v in (coords, coords[::-1])]
 

@@ -29,13 +29,15 @@ from shiftlab import (
     orbit_norms,
 )
 from shiftlab import dynamics
-from shiftlab.cli import _dumps
+from shiftlab.cli import _dumps, main
 from shiftlab.dynamics import (
     Confidence,
     DynamicsLabel,
     HorizonEvidence,
     horizon_evidence,
 )
+
+import reference
 
 # ---------------------------------------------------------------------------
 # classification: analytic paths
@@ -207,6 +209,15 @@ def test_verdict_serializes_with_finite_and_infinite_scalars():
     assert d["confidence"] == "Analytic"
     assert d["horizon"] == 100_000
     assert d["evidence"]["partial_sum"] == "inf"  # sum of 2^(2n) over 1e5 terms
+
+
+def test_evidence_writes_minus_inf_and_nan_as_strings(capsys):
+    # log|beta(n)| = -1e308 * log(n) is -inf from n = 7 on, so in the whole tail window
+    assert main(["classify", "--weights=powerlaw:-1e308", "--horizon", "100"]) == 0
+    evidence = json.loads(capsys.readouterr().out)["result"]["evidence"]
+    assert evidence["tail_log_min"] == evidence["tail_log_max"] == "-inf"
+    e = HorizonEvidence(100, 10, math.nan, 0.0, 0.0, 0.0, 0.0)
+    assert json.loads(_dumps(e))["partial_sum"] == "nan"
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +743,6 @@ def test_orbit_norms_bit_identical_to_repeated_application(case):
             orbit_norms(t, x, n)
 
 
-def _pow_or_inf(m, p):
-    try:
-        return m**p
-    except OverflowError:
-        return math.inf
-
-
 def test_float_power_is_python_pow_bit_for_bit():
     # orbit norms take their powers from np.float_power because its float64
     # loop calls libm's pow lane by lane, as Python's ** does; np.power is
@@ -756,7 +760,7 @@ def test_float_power_is_python_pow_bit_for_bit():
         ]
     )
     for p in (1.0, 1.5, 2.0, 3.0, 8.0, 1 / 3, 0.5):
-        want = np.array([_pow_or_inf(m, p) for m in moduli.tolist()])
+        want = np.array([reference.pow_or_inf(m, p) for m in moduli.tolist()])
         with np.errstate(over="ignore", under="ignore"):
             got = np.float_power(moduli, p)
         differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))

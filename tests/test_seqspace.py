@@ -16,6 +16,7 @@ from shiftlab import (
     Constant,
     Explicit,
     FinSeqVector,
+    HStep,
     PowerLawBeta,
     RangeError,
     ShiftOperator,
@@ -33,6 +34,8 @@ from shiftlab import (
 )
 from shiftlab import dynamics
 from shiftlab import seqspace
+
+import reference
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -108,12 +111,6 @@ def test_tail_sums_telescope(x):
         assert abs((tails[k] - tails[k + 1]) - d) <= 1e-12 * (tails[k] + d)
 
 
-def _suffix_fsums(x):
-    """The per-suffix reference: an independent fsum over every suffix."""
-    powers = [abs(c) ** x.p for c in x.coords]
-    return [math.fsum(powers[i:]) for i in range(len(powers))] + [0.0]
-
-
 def _bits(values):
     return [v.hex() for v in values]
 
@@ -138,7 +135,7 @@ def tail_vectors(draw):
 @given(tail_vectors())
 @settings(max_examples=300)
 def test_tail_power_sums_match_per_suffix_fsums_bit_for_bit(x):
-    assert _bits(tail_power_sums(x)) == _bits(_suffix_fsums(x))
+    assert _bits(tail_power_sums(x)) == _bits(reference.tails(x.coords, x.p))
 
 
 def test_tail_power_sums_is_not_a_running_sum():
@@ -149,7 +146,7 @@ def test_tail_power_sums_is_not_a_running_sum():
     running = np.cumsum([abs(c) ** 2 for c in reversed(x.coords)])[::-1]
     assert running[0] == 1.0
     assert tails[0] == 1.0 + 2.0**-50
-    assert _bits(tails) == _bits(_suffix_fsums(x))
+    assert _bits(tails) == _bits(reference.tails(x.coords, x.p))
 
 
 def test_tail_power_sums_range_errors_name_the_coordinate():
@@ -205,54 +202,17 @@ def test_a_tail_that_rounds_to_the_largest_float_is_not_an_error():
     powers = (top / 2, top / 2, 1.5 * 2.0**969)
     x = FinSeqVector(1.0, powers)
     assert tail_power_sums(x)[0] == top == math.fsum(powers)
-    assert _bits(tail_power_sums(x)) == _bits(_suffix_fsums(x))
-
-
-def _pow_diff(a, b, d, s):
-    """a**s - b**s for a = b + d >= b >= 0, with the exact increment d.
-
-    For a < 2b the difference is b**s * expm1(s * log1p(d / b)), which has
-    small relative error even when a**s and b**s agree to many digits;
-    otherwise direct subtraction is safe.
-    """
-    if b == 0.0:
-        return a**s
-    r = d / b
-    if r < 1.0:
-        return (b**s) * math.expm1(s * math.log1p(r))
-    return a**s - b**s
-
-
-def _h_map_reference(x, s):
-    """h_map coordinate by coordinate: per-suffix fsums and the ``_pow_diff`` formula."""
-    tails = _suffix_fsums(x)
-    coords = []
-    for i, c in enumerate(x.coords):
-        if c == 0:
-            coords.append(0j)
-            continue
-        m = abs(c)
-        try:
-            diff = _pow_diff(tails[i], tails[i + 1], m**x.p, s)
-        except OverflowError:
-            diff = math.inf
-        if diff == math.inf:
-            raise RangeError(f"h_map image at coordinate {i + 1} is beyond float range (s = {s!r})")
-        coords.append((c / m) * diff ** (1.0 / x.p))
-    return coords
-
-
-def _outcome(f, *args):
-    try:
-        return [(c.real.hex(), c.imag.hex()) for c in f(*args)]
-    except RangeError as e:
-        return str(e)
+    assert _bits(tail_power_sums(x)) == _bits(reference.tails(x.coords, x.p))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(tail_vectors(), st.floats(min_value=1e-3, max_value=1e3))
 def test_h_map_matches_a_per_coordinate_reference_bit_for_bit(x, s):
-    assert _outcome(lambda: h_map(x, s).coords) == _outcome(_h_map_reference, x, s)
+    def bits(coords):
+        return [(c.real.hex(), c.imag.hex()) for c in coords]
+
+    want = reference.outcome(lambda: bits(reference.step(HStep(x.p, s), x.coords, x.p)))
+    assert reference.outcome(lambda: bits(h_map(x, s).coords)) == want
 
 
 @given(vectors, nonzero_scalar)
@@ -345,10 +305,10 @@ def test_blocks_first_second_roles():
 )
 def test_explicit_raises_for_the_first_failing_weight_in_list_order(weights, error, message):
     # the message of the per-weight check of each weight in turn
-    with pytest.raises(error) as reference:
+    with pytest.raises(error) as want:
         for v in weights:
             seqspace._checked_weight(v)
-    assert str(reference.value) == message
+    assert str(want.value) == message
     with pytest.raises(error) as got:
         Explicit(weights)
     assert str(got.value) == message
@@ -940,7 +900,7 @@ def test_reader_array_path_agrees_with_the_per_coordinate_loop(coords):
     [
         [],
         [[1.5, -2.0], [0, 3], [-0.0, 0.0]],
-        [1.5, -0.0, 7],
+        [[1.5, 0], [-0.0, 0], [7, 0]],
         [[2**60 + 1, 5e-324]],
         # pairs read in one np.fromiter pass: ints, floats, mixed, and ints that round
         [[1, 2], [-3, 0], [0, -7]],
